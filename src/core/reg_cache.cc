@@ -17,22 +17,21 @@ RegistrationCache::RegistrationCache(via::Vipl& vipl, Config config)
       proc_path_("regcache/p" + std::to_string(vipl.pid())) {
   if (config_.governor) config_.governor->add_reclaim_client(this);
   simkern::Kernel& kern = vipl_.agent().kern();
-  kern.metrics().register_source(source_name_, this, [this](obs::MetricSink& s) {
-    s.counter("hits", stats_.hits);
-    s.counter("misses", stats_.misses);
-    s.counter("evictions", stats_.evictions);
-    s.counter("registrations", stats_.registrations);
-    s.counter("deregistrations", stats_.deregistrations);
-    s.counter("reclaim_evictions", stats_.reclaim_evictions);
-    s.counter("bad_releases", stats_.bad_releases);
-    s.counter("lookaside_hits", stats_.lookaside_hits);
-    s.counter("lookaside_misses", stats_.lookaside_misses);
-    s.counter("lookaside_invalidations", stats_.lookaside_invalidations);
-    s.gauge("idle", idle_.size());
-    s.gauge("live", rows_.size());
-  });
+  kern.metrics().register_source(source_name_, this, &stats_, metric_rows());
   kern.procfs().mount(proc_path_, this,
                       [this] { return regcache_status(stats_); });
+}
+
+obs::MetricTable RegistrationCache::metric_rows() {
+  using Stats = RegCacheStats;
+  static constexpr obs::MetricRow kRows[] = {
+      VIALOCK_REGCACHE_STATS(VIALOCK_STAT_ROW)
+      obs::computed<[](const RegistrationCache& c) { return c.idle_.size(); }>(
+          "idle"),
+      obs::computed<[](const RegistrationCache& c) { return c.rows_.size(); }>(
+          "live"),
+  };
+  return kRows;
 }
 
 RegistrationCache::~RegistrationCache() {

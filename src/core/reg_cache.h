@@ -51,23 +51,27 @@ enum class EvictionPolicy : std::uint8_t {
   return "?";
 }
 
+/// A registration cache's counters, exported as `core.regcache.p<pid>.<name>`
+/// and shown in /proc/regcache/p<pid>: X(member, metric name, kind).
+#define VIALOCK_REGCACHE_STATS(X)                                           \
+  X(hits, "hits", Counter)                                                  \
+  X(misses, "misses", Counter)                                              \
+  X(evictions, "evictions", Counter)                                        \
+  X(registrations, "registrations", Counter)                                \
+  X(deregistrations, "deregistrations", Counter)                            \
+  /* evictions the governor asked for */                                    \
+  X(reclaim_evictions, "reclaim_evictions", Counter)                        \
+  /* release() of an unknown handle or an already-idle entry (caller */     \
+  /* bug, kept a safe no-op - never corrupts the cache, in any build) */    \
+  X(bad_releases, "bad_releases", Counter)                                  \
+  /* acquire served by the lookaside (zero index scans) / fell through */   \
+  /* to the dual-keyed index; generation bumps (every structural change) */ \
+  X(lookaside_hits, "lookaside_hits", Counter)                              \
+  X(lookaside_misses, "lookaside_misses", Counter)                          \
+  X(lookaside_invalidations, "lookaside_invalidations", Counter)
+
 struct RegCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t registrations = 0;
-  std::uint64_t deregistrations = 0;
-  std::uint64_t reclaim_evictions = 0;  ///< evictions the governor asked for
-  std::uint64_t bad_releases = 0;  ///< release() of an unknown handle or an
-                                   ///< already-idle entry (caller bug, kept
-                                   ///< a safe no-op - never corrupts the
-                                   ///< cache, in any build type)
-  std::uint64_t lookaside_hits = 0;    ///< acquire served by the lookaside
-                                       ///< (zero index scans)
-  std::uint64_t lookaside_misses = 0;  ///< acquire fell through to the
-                                       ///< dual-keyed index
-  std::uint64_t lookaside_invalidations = 0;  ///< generation bumps (every
-                                              ///< structural change)
+  VIALOCK_REGCACHE_STATS(VIALOCK_STAT_MEMBER)
 };
 
 class RegistrationCache : public pinmgr::ReclaimClient {
@@ -110,6 +114,9 @@ class RegistrationCache : public pinmgr::ReclaimClient {
   void flush();
 
   [[nodiscard]] const RegCacheStats& stats() const { return stats_; }
+  /// The `core.regcache.p<pid>` metric source: the RegCacheStats rows (also
+  /// the /proc/regcache/p<pid> lines), then the idle/live entry gauges.
+  [[nodiscard]] static obs::MetricTable metric_rows();
   [[nodiscard]] std::size_t idle_cached() const { return idle_.size(); }
   [[nodiscard]] std::size_t live() const { return rows_.size(); }
 

@@ -96,7 +96,8 @@ Comm::Comm(via::Cluster& cluster, std::vector<via::NodeId> nodes, Config config)
 Comm::~Comm() {
   // Owner-checked: a later Comm that took the name over keeps it.
   if (!nodes_.empty()) {
-    cluster_.node(nodes_[0]).kernel().metrics().unregister_source("mp", this);
+    cluster_.node(nodes_[0]).kernel().metrics().unregister_source("mp.comm",
+                                                                  this);
   }
 }
 
@@ -179,22 +180,19 @@ KStatus Comm::init() {
   // Publish the communicator through rank 0's host registry: the CommStats
   // counters plus the summed per-rank unexpected-arena overflows. Subsystem
   // "mp" (first dot-segment) joins the exported set.
+  using Stats = CommStats;
+  static constexpr obs::MetricRow kRows[] = {
+      VIALOCK_COMM_STATS(VIALOCK_STAT_ROW)
+      obs::computed<[](const Comm& c) {
+                      std::uint64_t overflows = 0;
+                      for (const auto& side : c.sides_)
+                        overflows += side->arena_overflows;
+                      return overflows;
+                    },
+                    obs::MetricKind::Counter>("arena_overflows"),
+  };
   cluster_.node(nodes_[0]).kernel().metrics().register_source(
-      "mp", this, [this](obs::MetricSink& sink) {
-        sink.counter("comm.eager_sends", stats_.eager_sends);
-        sink.counter("comm.rendezvous_sends", stats_.rendezvous_sends);
-        sink.counter("comm.unexpected_msgs", stats_.unexpected_msgs);
-        sink.counter("comm.expected_msgs", stats_.expected_msgs);
-        sink.counter("comm.rdma_pulls", stats_.rdma_pulls);
-        sink.counter("comm.local_msgs", stats_.local_msgs);
-        sink.counter("comm.local_pulls", stats_.local_pulls);
-        sink.counter("comm.indirect_sends", stats_.indirect_sends);
-        sink.counter("comm.indirect_forwards", stats_.indirect_forwards);
-        sink.counter("comm.bytes", stats_.bytes);
-        std::uint64_t overflows = 0;
-        for (const auto& side : sides_) overflows += side->arena_overflows;
-        sink.counter("comm.arena_overflows", overflows);
-      });
+      "mp.comm", this, &stats_, kRows);
   initialised_ = true;
   return KStatus::Ok;
 }

@@ -49,17 +49,26 @@ struct MpStatus {
   std::uint32_t len = 0;
 };
 
+/// A communicator's counters, exported as `mp.comm.<name>`:
+/// X(member, metric name, kind).
+#define VIALOCK_COMM_STATS(X)                                          \
+  X(eager_sends, "eager_sends", Counter)                               \
+  X(rendezvous_sends, "rendezvous_sends", Counter)                     \
+  /* arrived before a matching receive / matched a posted receive */   \
+  X(unexpected_msgs, "unexpected_msgs", Counter)                       \
+  X(expected_msgs, "expected_msgs", Counter)                           \
+  X(rdma_pulls, "rdma_pulls", Counter)                                 \
+  /* delivered over a shared-memory link; large local messages (shm */ \
+  /* pipeline) */                                                      \
+  X(local_msgs, "local_msgs", Counter)                                 \
+  X(local_pulls, "local_pulls", Counter)                               \
+  /* messages that needed routing; hops executed by intermediates */   \
+  X(indirect_sends, "indirect_sends", Counter)                         \
+  X(indirect_forwards, "indirect_forwards", Counter)                   \
+  X(bytes, "bytes", Counter)
+
 struct CommStats {
-  std::uint64_t eager_sends = 0;
-  std::uint64_t rendezvous_sends = 0;
-  std::uint64_t unexpected_msgs = 0;  ///< arrived before a matching receive
-  std::uint64_t expected_msgs = 0;    ///< matched a posted receive on arrival
-  std::uint64_t rdma_pulls = 0;
-  std::uint64_t local_msgs = 0;       ///< delivered over a shared-memory link
-  std::uint64_t local_pulls = 0;      ///< large local messages (shm pipeline)
-  std::uint64_t indirect_sends = 0;   ///< messages that needed routing
-  std::uint64_t indirect_forwards = 0;  ///< hops executed by intermediates
-  std::uint64_t bytes = 0;
+  VIALOCK_COMM_STATS(VIALOCK_STAT_MEMBER)
 };
 
 class Comm {

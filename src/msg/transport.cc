@@ -195,22 +195,10 @@ KStatus Channel::init() {
   source_name_ = "msg.ch.p" + std::to_string(src_pid_) + ".d" +
                  std::to_string(dst_pid_);
   transfer_ns_ = &sk.metrics().histogram(source_name_ + ".transfer_ns");
-  sk.metrics().register_source(source_name_, this, [this](obs::MetricSink& s) {
-    s.counter("eager_msgs", stats_.eager_msgs);
-    s.counter("rendezvous_msgs", stats_.rendezvous_msgs);
-    s.counter("prereg_msgs", stats_.prereg_msgs);
-    s.counter("pio_msgs", stats_.pio_msgs);
-    s.counter("bytes_moved", stats_.bytes_moved);
-    s.counter("control_msgs", stats_.control_msgs);
-    s.counter("window_imports", stats_.window_imports);
-    s.counter("frames_sent", stats_.frames_sent);
-    s.counter("retries", stats_.retries);
-    s.counter("send_timeouts", stats_.send_timeouts);
-    s.counter("acks_received", stats_.acks_received);
-    s.counter("dup_frames_dropped", stats_.dup_frames_dropped);
-    s.counter("corruptions_detected", stats_.corruptions_detected);
-    s.counter("conn_repairs", stats_.conn_repairs);
-  });
+  using Stats = ChannelStats;
+  static constexpr obs::MetricRow kRows[] = {
+      VIALOCK_CHANNEL_STATS(VIALOCK_STAT_ROW)};
+  sk.metrics().register_source(source_name_, this, &stats_, kRows);
 
   initialised_ = true;
   return KStatus::Ok;

@@ -71,22 +71,31 @@ enum class Protocol : std::uint8_t {
   return "?";
 }
 
+/// A channel's counters, exported as `msg.ch.p<src>.d<dst>.<name>`:
+/// X(member, metric name, kind).
+#define VIALOCK_CHANNEL_STATS(X)                                          \
+  X(eager_msgs, "eager_msgs", Counter)                                    \
+  X(rendezvous_msgs, "rendezvous_msgs", Counter)                          \
+  X(prereg_msgs, "prereg_msgs", Counter)                                  \
+  X(pio_msgs, "pio_msgs", Counter)                                        \
+  X(bytes_moved, "bytes_moved", Counter)                                  \
+  X(control_msgs, "control_msgs", Counter)                                \
+  /* PIO imports (cached thereafter) */                                   \
+  X(window_imports, "window_imports", Counter)                            \
+  /* Reliable-delivery mode: sequenced frames incl. retransmits, */       \
+  /* retransmissions (frames + RDMA), timeout windows charged waiting, */ \
+  /* acks, replays deduplicated by seq, checksum mismatches caught, */    \
+  /* connections re-established */                                        \
+  X(frames_sent, "frames_sent", Counter)                                  \
+  X(retries, "retries", Counter)                                          \
+  X(send_timeouts, "send_timeouts", Counter)                              \
+  X(acks_received, "acks_received", Counter)                              \
+  X(dup_frames_dropped, "dup_frames_dropped", Counter)                    \
+  X(corruptions_detected, "corruptions_detected", Counter)                \
+  X(conn_repairs, "conn_repairs", Counter)
+
 struct ChannelStats {
-  std::uint64_t eager_msgs = 0;
-  std::uint64_t rendezvous_msgs = 0;
-  std::uint64_t prereg_msgs = 0;
-  std::uint64_t pio_msgs = 0;
-  std::uint64_t bytes_moved = 0;
-  std::uint64_t control_msgs = 0;
-  std::uint64_t window_imports = 0;  ///< PIO imports (cached thereafter)
-  // Reliable-delivery mode:
-  std::uint64_t frames_sent = 0;       ///< sequenced frames incl. retransmits
-  std::uint64_t retries = 0;           ///< retransmissions (frames + RDMA)
-  std::uint64_t send_timeouts = 0;     ///< timeout windows charged waiting
-  std::uint64_t acks_received = 0;
-  std::uint64_t dup_frames_dropped = 0;  ///< replays deduplicated by seq
-  std::uint64_t corruptions_detected = 0;  ///< checksum mismatches caught
-  std::uint64_t conn_repairs = 0;      ///< connections re-established
+  VIALOCK_CHANNEL_STATS(VIALOCK_STAT_MEMBER)
 };
 
 class Channel {

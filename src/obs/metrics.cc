@@ -4,31 +4,6 @@
 
 namespace vialock::obs {
 
-bool MetricSink::name_matches(const std::string& full,
-                              std::string_view name) const {
-  if (prefix_.empty()) return full == name;
-  return full.size() == prefix_.size() + 1 + name.size() &&
-         full.compare(0, prefix_.size(), prefix_) == 0 &&
-         full[prefix_.size()] == '.' &&
-         full.compare(prefix_.size() + 1, name.size(), name) == 0;
-}
-
-Metric* MetricSink::reuse_slot(std::string_view name, MetricKind kind) {
-  if (cursor_ == nullptr) return nullptr;
-  if (*cursor_ < out_.size()) {
-    Metric& m = out_[*cursor_];
-    if (m.kind == kind && (trusted_ || name_matches(m.name, name))) {
-      ++*cursor_;
-      return &m;
-    }
-  }
-  // Layout diverged: drop the stale tail and append fresh from here on.
-  out_.resize(*cursor_);
-  cursor_ = nullptr;
-  fallback_ = true;
-  return nullptr;
-}
-
 void add_buckets(
     std::vector<std::pair<std::uint32_t, std::uint64_t>>& dst,
     const std::vector<std::pair<std::uint32_t, std::uint64_t>>& src) {
@@ -43,24 +18,14 @@ void add_buckets(
   }
 }
 
-void MetricSink::emit(std::string_view name, MetricKind kind,
-                      std::uint64_t v) {
-  if (fold_map_ != nullptr) {
-    const std::uint32_t t = (*fold_map_)[(*cursor_)++];
-    if (t != kNoFoldSlot) out_[t].value += v;
-    return;
+std::string render_fields(MetricTable rows, const void* obj) {
+  std::string out;
+  for (const MetricRow& r : rows) {
+    if (!r.is_field() || r.name.empty()) continue;
+    out.append(r.name).append(" ").append(std::to_string(r.field(obj)));
+    out.push_back('\n');
   }
-  if (Metric* m = reuse_slot(name, kind)) {
-    m->value = v;
-    return;
-  }
-  Metric m;
-  m.name.reserve(prefix_.size() + 1 + name.size());
-  if (!prefix_.empty()) m.name.append(prefix_).append(".");
-  m.name.append(name);
-  m.kind = kind;
-  m.value = v;
-  out_.push_back(std::move(m));
+  return out;
 }
 
 void Histogram::snapshot_to(Metric& m) const {
@@ -130,8 +95,8 @@ Histogram& MetricRegistry::histogram(std::string_view name) {
 }
 
 void MetricRegistry::register_source(std::string name, const void* owner,
-                                     SourceFn fn) {
-  sources_.insert_or_assign(std::move(name), Source{owner, std::move(fn)});
+                                     const void* obj, MetricTable rows) {
+  sources_.insert_or_assign(std::move(name), Source{owner, obj, rows});
   ++layout_gen_;
 }
 
@@ -144,48 +109,26 @@ void MetricRegistry::unregister_source(std::string_view name,
   }
 }
 
+template <class F>
+void MetricRegistry::visit(F&& f) const {
+  for (const auto& [name, c] : counters_)
+    f(std::string_view{}, name, MetricKind::Counter, c->value(), nullptr);
+  for (const auto& [name, g] : gauges_)
+    f(std::string_view{}, name, MetricKind::Gauge, g->value(), nullptr);
+  for (const auto& [name, h] : histograms_)
+    f(std::string_view{}, name, MetricKind::Histogram, 0, h.get());
+  for (const auto& [name, src] : sources_) {
+    for (const MetricRow& r : src.rows) {
+      if (!r.name.empty())
+        f(name, r.name, r.kind, r.value(src.owner, src.obj), nullptr);
+    }
+  }
+}
+
 Snapshot MetricRegistry::snapshot() const {
   Snapshot out;
-  // Sources emit ~16-32 metrics each; reserving avoids the realloc ladder
-  // on the sampler's per-tick hot path (E27 overhead gate).
-  out.reserve(counters_.size() + gauges_.size() + histograms_.size() +
-              24 * sources_.size());
-  for (const auto& [name, c] : counters_) {
-    Metric m;
-    m.name = name;
-    m.kind = MetricKind::Counter;
-    m.value = c->value();
-    out.push_back(std::move(m));
-  }
-  for (const auto& [name, g] : gauges_) {
-    Metric m;
-    m.name = name;
-    m.kind = MetricKind::Gauge;
-    m.value = g->value();
-    out.push_back(std::move(m));
-  }
-  for (const auto& [name, h] : histograms_) {
-    Metric m;
-    m.name = name;
-    m.kind = MetricKind::Histogram;
-    m.count = h->count();
-    m.sum = h->sum();
-    m.max = h->max();
-    m.p50 = h->quantile(0.50);
-    m.p95 = h->quantile(0.95);
-    m.p99 = h->quantile(0.99);
-    m.p999 = h->quantile(0.999);
-    for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
-      if (h->bucket(i)) {
-        m.buckets.emplace_back(static_cast<std::uint32_t>(i), h->bucket(i));
-      }
-    }
-    out.push_back(std::move(m));
-  }
-  for (const auto& [name, src] : sources_) {
-    MetricSink sink(name, out);
-    src.fn(sink);
-  }
+  std::uint64_t gen = 0;  // never current: a fresh build
+  snapshot_into(out, gen);
   std::sort(out.begin(), out.end(),
             [](const Metric& a, const Metric& b) { return a.name < b.name; });
   return out;
@@ -193,48 +136,35 @@ Snapshot MetricRegistry::snapshot() const {
 
 bool MetricRegistry::snapshot_into(Snapshot& out,
                                    std::uint64_t& layout_gen) const {
-  // The buffer was last filled from this exact layout: skip per-metric name
-  // verification (kind is still checked; a mismatch degrades to a rebuild).
-  const bool trusted = layout_gen == layout_gen_ && !out.empty();
-  std::size_t cur = 0;
-  bool reuse = !out.empty();
-
-  // In-place slot for an owned instrument, or a fresh append once the
-  // layout diverged (the tail past `cur` is stale and gets truncated).
-  const auto slot = [&out, &cur, &reuse, trusted](
-                        const std::string& name, MetricKind kind) -> Metric* {
-    if (reuse && cur < out.size() && out[cur].kind == kind &&
-        (trusted || out[cur].name == name)) {
-      return &out[cur++];
-    }
-    if (reuse) {
-      out.resize(cur);
-      reuse = false;
-    }
-    Metric m;
-    m.name = name;
+  if (layout_gen == layout_gen_ && !out.empty()) {
+    // The buffer was filled from this exact layout: overwrite in place.
+    Metric* m = out.data();
+    visit([&m](std::string_view, std::string_view, MetricKind,
+               std::uint64_t v, const Histogram* h) {
+      if (h != nullptr) {
+        h->snapshot_to(*m);
+      } else {
+        m->value = v;
+      }
+      ++m;
+    });
+    return true;
+  }
+  out.clear();
+  visit([&out](std::string_view prefix, std::string_view name,
+               MetricKind kind, std::uint64_t v, const Histogram* h) {
+    Metric& m = out.emplace_back();
+    if (!prefix.empty()) m.name.append(prefix).append(".");
+    m.name.append(name);
     m.kind = kind;
-    out.push_back(std::move(m));
-    return &out.back();
-  };
-
-  for (const auto& [name, c] : counters_)
-    slot(name, MetricKind::Counter)->value = c->value();
-  for (const auto& [name, ga] : gauges_)
-    slot(name, MetricKind::Gauge)->value = ga->value();
-  for (const auto& [name, h] : histograms_)
-    h->snapshot_to(*slot(name, MetricKind::Histogram));
-  for (const auto& [name, src] : sources_) {
-    MetricSink sink(name, out, reuse ? &cur : nullptr, trusted);
-    src.fn(sink);
-    if (sink.fell_back()) reuse = false;
-  }
-  if (reuse && cur != out.size()) {
-    out.resize(cur);  // sources emitted fewer metrics than last time
-    reuse = false;
-  }
+    if (h != nullptr) {
+      h->snapshot_to(m);
+    } else {
+      m.value = v;
+    }
+  });
   layout_gen = layout_gen_;
-  return reuse;
+  return false;
 }
 
 bool MetricRegistry::fold_into(Snapshot& target,
@@ -242,21 +172,18 @@ bool MetricRegistry::fold_into(Snapshot& target,
                                std::uint64_t layout_gen) const {
   if (layout_gen != layout_gen_) return false;
   // The generation match proves `map` was planned from this exact layout
-  // (and the register_source contract keeps source emissions fixed), so
-  // every emission below lands on its planned slot positionally.
+  // (source rows are constant tables), so every value below lands on its
+  // planned slot positionally.
   std::size_t cur = 0;
-  for (const auto& [name, c] : counters_) {
+  visit([&](std::string_view, std::string_view, MetricKind, std::uint64_t v,
+            const Histogram* h) {
     const std::uint32_t t = map[cur++];
-    if (t != kNoFoldSlot) target[t].value += c->value();
-  }
-  for (const auto& [name, ga] : gauges_) {
-    const std::uint32_t t = map[cur++];
-    if (t != kNoFoldSlot) target[t].value += ga->value();
-  }
-  for (const auto& [name, h] : histograms_) {
-    const std::uint32_t t = map[cur++];
-    if (t == kNoFoldSlot) continue;
+    if (t == kNoFoldSlot) return;
     Metric& d = target[t];
+    if (h == nullptr) {
+      d.value += v;
+      return;
+    }
     std::uint64_t n = 0;
     std::size_t di = 0;
     for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
@@ -275,11 +202,7 @@ bool MetricRegistry::fold_into(Snapshot& target,
     d.count += n;
     d.sum += h->sum();
     if (n != 0) d.max = std::max(d.max, h->max());
-  }
-  for (const auto& [name, src] : sources_) {
-    MetricSink sink(MetricSink::FoldTag{}, name, target, map, &cur);
-    src.fn(sink);
-  }
+  });
   return true;
 }
 

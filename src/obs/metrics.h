@@ -8,11 +8,14 @@
 //   * owned instruments - counter()/gauge()/histogram() hand out get-or-create
 //     handles the hot path updates directly (ioctl latency histograms, DMA
 //     byte sizes). Handles are stable for the registry's lifetime.
-//   * pull sources - register_source(name, owner, fn) adds a callback that
-//     emits a component's existing stats struct at snapshot time, so the
-//     long-lived per-subsystem counter structs (KernelStats, AgentStats,
+//   * pull sources - register_source(name, owner, obj, rows) publishes a
+//     component's stats struct through a constant table of MetricRows, so
+//     the long-lived per-subsystem counter structs (KernelStats, AgentStats,
 //     GovernorStats, ...) keep their cheap `++stats_.x` hot paths while still
-//     exporting through the one registry.
+//     exporting through the one registry. Each such struct is declared from
+//     one X-macro list of (member, metric name, kind) entries; the struct's
+//     members, its rows, its /proc text and its roll-ups all expand from that
+//     list, so a counter cannot be declared without being exported.
 //
 // Sources carry an owner tag: re-registering a name replaces the previous
 // source (a rebuilt component - enable_governor(), a new Channel - simply
@@ -27,10 +30,11 @@
 // and the benches' --metrics flag rely on.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -160,58 +164,70 @@ inline constexpr std::uint32_t kNoFoldSlot = ~std::uint32_t{0};
 void add_buckets(std::vector<std::pair<std::uint32_t, std::uint64_t>>& dst,
                  const std::vector<std::pair<std::uint32_t, std::uint64_t>>& src);
 
-/// The emit interface pull sources write through. Names are automatically
-/// prefixed with the source's registered name ("via.agent" + "hits" ->
-/// "via.agent.hits").
-class MetricSink {
- public:
-  MetricSink(std::string_view prefix, Snapshot& out)
-      : prefix_(prefix), out_(out) {}
-  /// Reuse mode (snapshot_into): when `cursor` is non-null, each emit first
-  /// tries to overwrite out[*cursor] in place - matching name and kind, no
-  /// string allocation - and falls back to fresh appends (truncating the
-  /// stale tail) the moment the emission layout diverges from the buffer.
-  /// `trusted` additionally skips the name comparison (kind is still
-  /// checked): the registry passes it when its layout generation proves the
-  /// buffer was filled from the same source list, so the steady-state tick
-  /// never touches the stored name strings at all.
-  MetricSink(std::string_view prefix, Snapshot& out, std::size_t* cursor,
-             bool trusted = false)
-      : prefix_(prefix), out_(out), cursor_(cursor), trusted_(trusted) {}
+/// One exported value of a pull source: a std::uint64_t field of the
+/// source's stats object at `offset` or, when `read` is set, a value computed
+/// from the source's owner. Rows are constant data, so a source's (name,
+/// kind) layout is fixed for the lifetime of its registration by type.
+struct MetricRow {
+  std::string_view name;  ///< appended to the source name; "" = not exported
+  MetricKind kind = MetricKind::Counter;
+  std::size_t offset = 0;
+  std::uint64_t (*read)(const void* owner) = nullptr;
+  std::string_view proc = {};  ///< /proc key of a row rendered under
+                               ///< another name (vmstat's Linux keys)
 
-  /// Fold mode (MetricRegistry::fold_into): each emit combines its value
-  /// straight into `target[map[*cursor]]` - counters/gauges add, histograms
-  /// merge - and never touches names or allocates. Only safe when the
-  /// caller has proven (via the registry's layout generation) that the map
-  /// was planned from this exact emission layout.
-  struct FoldTag {};
-  MetricSink(FoldTag, std::string_view prefix, Snapshot& target,
-             const std::vector<std::uint32_t>& map, std::size_t* cursor)
-      : prefix_(prefix), out_(target), cursor_(cursor), fold_map_(&map) {}
-
-  void counter(std::string_view name, std::uint64_t v) {
-    emit(name, MetricKind::Counter, v);
+  [[nodiscard]] bool is_field() const { return read == nullptr; }
+  [[nodiscard]] const std::uint64_t& field(const void* obj) const {
+    return *reinterpret_cast<const std::uint64_t*>(
+        static_cast<const char*>(obj) + offset);
   }
-  void gauge(std::string_view name, std::uint64_t v) {
-    emit(name, MetricKind::Gauge, v);
+  [[nodiscard]] std::uint64_t& field(void* obj) const {
+    return *reinterpret_cast<std::uint64_t*>(static_cast<char*>(obj) + offset);
   }
-  /// True once a reuse-mode emit had to abandon in-place overwrites.
-  [[nodiscard]] bool fell_back() const { return fallback_; }
-
- private:
-  void emit(std::string_view name, MetricKind kind, std::uint64_t v);
-  /// The in-place slot for a reuse-mode emit, or nullptr (append fresh).
-  [[nodiscard]] Metric* reuse_slot(std::string_view name, MetricKind kind);
-  [[nodiscard]] bool name_matches(const std::string& full,
-                                  std::string_view name) const;
-
-  std::string_view prefix_;
-  Snapshot& out_;
-  std::size_t* cursor_ = nullptr;
-  const std::vector<std::uint32_t>* fold_map_ = nullptr;
-  bool trusted_ = false;
-  bool fallback_ = false;
+  [[nodiscard]] std::uint64_t value(const void* owner, const void* obj) const {
+    return read != nullptr ? read(owner) : field(obj);
+  }
 };
+
+using MetricTable = std::span<const MetricRow>;
+
+namespace detail {
+template <class>
+struct OwnerOf;
+template <class C, class R, class O>
+struct OwnerOf<R (C::*)(const O&) const> {
+  using type = O;
+};
+}  // namespace detail
+
+/// A computed row: `F` is a captureless lambda taking `const Owner&` (the
+/// owner the source registers with) and returning the value.
+template <auto F, MetricKind K = MetricKind::Gauge>
+[[nodiscard]] constexpr MetricRow computed(std::string_view name,
+                                           std::string_view proc = {}) {
+  using Owner =
+      typename detail::OwnerOf<decltype(&decltype(F)::operator())>::type;
+  return {name, K, 0,
+          [](const void* owner) -> std::uint64_t {
+            return F(*static_cast<const Owner*>(owner));
+          },
+          proc};
+}
+
+/// "name value" lines for the exported field rows of `rows`, read from
+/// `obj`: the stats block of a /proc node.
+[[nodiscard]] std::string render_fields(MetricTable rows, const void* obj);
+
+// X-macro callbacks for stats lists whose entries read
+// X(member, "metric name", Kind[, "proc key"]). A list declares its struct's
+// members with VIALOCK_STAT_MEMBER and its rows with VIALOCK_STAT_ROW, the
+// latter expanded where `Stats` names the struct. VIALOCK_STAT_NONE drops
+// an entry.
+#define VIALOCK_STAT_NONE(...)
+#define VIALOCK_STAT_MEMBER(member, ...) std::uint64_t member = 0;
+#define VIALOCK_STAT_ROW(member, name, kind, ...)                   \
+  ::vialock::obs::MetricRow{name, ::vialock::obs::MetricKind::kind, \
+                            offsetof(Stats, member), nullptr, __VA_ARGS__},
 
 class MetricRegistry {
  public:
@@ -225,34 +241,33 @@ class MetricRegistry {
   [[nodiscard]] Histogram& histogram(std::string_view name);
 
   // --- pull sources -----------------------------------------------------------
-  using SourceFn = std::function<void(MetricSink&)>;
-  /// Register `fn` to emit metrics under `name.` at snapshot time. A name
-  /// already registered is taken over (the previous owner's later
-  /// unregister_source becomes a no-op). Contract: `fn` emits a fixed list
-  /// of (name, kind) for the lifetime of the registration - values change,
-  /// layout does not (snapshot_into's trusted reuse depends on it; emit a
-  /// zero rather than skipping a metric conditionally).
-  void register_source(std::string name, const void* owner, SourceFn fn);
+  /// Publish `rows` under `name.`: field rows read `obj`, computed rows read
+  /// `owner`; rows with an empty name are not exported. A name already
+  /// registered is taken over (the previous owner's later unregister_source
+  /// becomes a no-op). `owner`, `obj` and `rows` must outlive the
+  /// registration.
+  void register_source(std::string name, const void* owner, const void* obj,
+                       MetricTable rows);
   /// Remove `name` if - and only if - `owner` still owns it.
   void unregister_source(std::string_view name, const void* owner);
   [[nodiscard]] std::size_t num_sources() const { return sources_.size(); }
+  /// Call `f(name, rows)` for every registered source, in name order.
+  template <class F>
+  void for_each_source(F&& f) const {
+    for (const auto& [name, src] : sources_) f(name, src.rows);
+  }
 
   /// Merge owned instruments and pulled sources, sorted by metric name.
   [[nodiscard]] Snapshot snapshot() const;
 
-  /// Snapshot into a caller-owned buffer in *emission* order (not sorted),
-  /// reusing it in place when the metric layout is unchanged since the
-  /// buffer was last filled - the steady state allocates nothing and, when
-  /// `layout_gen` still matches the registry's layout generation (bumped by
-  /// every instrument creation and source (un)registration), skips the
-  /// per-metric name verification entirely; both are what keep the
-  /// sampler's per-tick cost inside the E27 overhead gate. `layout_gen` is
-  /// updated to the current generation. Returns true when the whole buffer
-  /// was reused in place (same names, kinds and order); false when it was
-  /// (partially) rebuilt, telling the caller to recompute anything derived
-  /// from the layout. Note the trusted fast path relies on the
-  /// register_source() contract: a source callback emits a fixed list of
-  /// (name, kind) for the lifetime of its registration.
+  /// Snapshot into a caller-owned buffer in *emission* order (not sorted).
+  /// When `layout_gen` still matches the registry's layout generation
+  /// (bumped by every instrument creation and source (un)registration) the
+  /// buffer holds this exact layout, so only values are overwritten - no
+  /// names, no allocation; otherwise it is rebuilt. `layout_gen` is updated
+  /// to the current generation. Returns true when the buffer was reused in
+  /// place, false when it was rebuilt (the caller must recompute anything
+  /// derived from the layout).
   bool snapshot_into(Snapshot& out, std::uint64_t& layout_gen) const;
 
   /// Fold current instrument values directly into `target` through the
@@ -269,13 +284,21 @@ class MetricRegistry {
  private:
   struct Source {
     const void* owner = nullptr;
-    SourceFn fn;
+    const void* obj = nullptr;
+    MetricTable rows;
   };
 
+  /// Call `f(prefix, name, kind, value, histogram)` for every metric in
+  /// emission order: owned counters, gauges and histograms (empty prefix,
+  /// `histogram` set for the latter), then every source's exported rows.
+  template <class F>
+  void visit(F&& f) const;
+
   /// Bumped whenever the metric *layout* can change (instrument creation,
-  /// source (un)registration); lets snapshot_into prove buffer reuse is
-  /// safe without re-verifying names. Starts at 1 so a caller's zero-
-  /// initialised cached generation never matches spuriously.
+  /// source (un)registration); lets snapshot_into and fold_into prove a
+  /// buffer or merge plan still matches without re-verifying names. Starts
+  /// at 1 so a caller's zero-initialised cached generation never matches
+  /// spuriously.
   std::uint64_t layout_gen_ = 1;
   // Ordered maps: iteration (and therefore snapshot order before the final
   // sort) is deterministic. unique_ptr keeps instrument addresses stable

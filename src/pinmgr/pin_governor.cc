@@ -11,32 +11,27 @@ PinGovernor::PinGovernor(simkern::Kernel& kern, GovernorConfig config)
     : kern_(kern),
       config_(config),
       charge_ns_(kern.metrics().histogram("pinmgr.charge_ns")) {
-  kern_.metrics().register_source("pinmgr", this, [this](obs::MetricSink& s) {
-    s.counter("admitted", stats_.admitted);
-    s.counter("rejected_quota", stats_.rejected_quota);
-    s.counter("rejected_ceiling", stats_.rejected_ceiling);
-    s.counter("rejected_injected", stats_.rejected_injected);
-    s.counter("frames_charged", stats_.frames_charged);
-    s.counter("dedup_hits", stats_.dedup_hits);
-    s.counter("lazy_queued", stats_.lazy_queued);
-    s.counter("lazy_drains", stats_.lazy_drains);
-    s.counter("lazy_drained_entries", stats_.lazy_drained_entries);
-    s.counter("flushes", stats_.flushes);
-    s.counter("reclaim_invocations", stats_.reclaim_invocations);
-    s.counter("reclaim_pages", stats_.reclaim_pages);
-    s.counter("reclaim_failures", stats_.reclaim_failures);
-    s.counter("tenants_removed", stats_.tenants_removed);
-    s.counter("forced_tenant_removals", stats_.forced_tenant_removals);
-    s.counter("forced_frames_uncharged", stats_.forced_frames_uncharged);
-    s.gauge("total_charged", total_charged_);
-    s.gauge("tenants", tenants_.size());
-    s.gauge("lazy_queue_depth", queue_.size());
-    // SLO-relevant: pages left under the host ceiling before admissions
-    // start bouncing - the watchdogs alarm on this approaching zero.
-    const std::uint32_t cap = ceiling();
-    s.gauge("ceiling_headroom", cap > total_charged_ ? cap - total_charged_ : 0);
-  });
+  kern_.metrics().register_source("pinmgr", this, &stats_, metric_rows());
   kern_.procfs().mount("pinmgr", this, [this] { return pinstat(*this); });
+}
+
+obs::MetricTable PinGovernor::metric_rows() {
+  using Stats = GovernorStats;
+  static constexpr obs::MetricRow kRows[] = {
+      VIALOCK_GOVERNOR_STATS(VIALOCK_STAT_ROW)
+      obs::computed<[](const PinGovernor& g) { return g.total_charged_; }>(
+          "total_charged"),
+      obs::computed<[](const PinGovernor& g) { return g.tenants_.size(); }>(
+          "tenants"),
+      obs::computed<[](const PinGovernor& g) { return g.queue_.size(); }>(
+          "lazy_queue_depth"),
+      // SLO-relevant: pages left under the host ceiling before admissions
+      // start bouncing - the watchdogs alarm on this approaching zero.
+      obs::computed<[](const PinGovernor& g) {
+        return g.ceiling() - std::min(g.ceiling(), g.total_charged_);
+      }>("ceiling_headroom"),
+  };
+  return kRows;
 }
 
 PinGovernor::~PinGovernor() {

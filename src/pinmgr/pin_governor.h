@@ -67,23 +67,35 @@ struct GovernorConfig {
   std::uint32_t lazy_batch = 0;
 };
 
+/// The governor's counters, exported as `pinmgr.<name>` and shown in
+/// /proc/pinmgr: X(member, metric name, kind).
+#define VIALOCK_GOVERNOR_STATS(X)                                           \
+  X(admitted, "admitted", Counter)                                          \
+  /* per-tenant quota exceeded (ENOMEM), host ceiling exceeded (EAGAIN), */ \
+  /* FaultSite::PinAdmission fired */                                       \
+  X(rejected_quota, "rejected_quota", Counter)                              \
+  X(rejected_ceiling, "rejected_ceiling", Counter)                          \
+  X(rejected_injected, "rejected_injected", Counter)                        \
+  /* cumulative newly charged frames; frames already charged to the */      \
+  /* tenant */                                                              \
+  X(frames_charged, "frames_charged", Counter)                              \
+  X(dedup_hits, "dedup_hits", Counter)                                      \
+  X(lazy_queued, "lazy_queued", Counter)                                    \
+  X(lazy_drains, "lazy_drains", Counter)                                    \
+  X(lazy_drained_entries, "lazy_drained_entries", Counter)                  \
+  /* explicit epoch barriers */                                             \
+  X(flushes, "flushes", Counter)                                            \
+  X(reclaim_invocations, "reclaim_invocations", Counter)                    \
+  X(reclaim_pages, "reclaim_pages", Counter)                                \
+  /* FaultSite::PinReclaim fired */                                         \
+  X(reclaim_failures, "reclaim_failures", Counter)                          \
+  X(tenants_removed, "tenants_removed", Counter)                            \
+  /* removed with live charges; frames rescued from the leak */             \
+  X(forced_tenant_removals, "forced_tenant_removals", Counter)              \
+  X(forced_frames_uncharged, "forced_frames_uncharged", Counter)
+
 struct GovernorStats {
-  std::uint64_t admitted = 0;
-  std::uint64_t rejected_quota = 0;     ///< per-tenant quota exceeded (ENOMEM)
-  std::uint64_t rejected_ceiling = 0;   ///< host ceiling exceeded (EAGAIN)
-  std::uint64_t rejected_injected = 0;  ///< FaultSite::PinAdmission fired
-  std::uint64_t frames_charged = 0;     ///< cumulative newly charged frames
-  std::uint64_t dedup_hits = 0;         ///< frames already charged to the tenant
-  std::uint64_t lazy_queued = 0;
-  std::uint64_t lazy_drains = 0;
-  std::uint64_t lazy_drained_entries = 0;
-  std::uint64_t flushes = 0;            ///< explicit epoch barriers
-  std::uint64_t reclaim_invocations = 0;
-  std::uint64_t reclaim_pages = 0;
-  std::uint64_t reclaim_failures = 0;   ///< FaultSite::PinReclaim fired
-  std::uint64_t tenants_removed = 0;
-  std::uint64_t forced_tenant_removals = 0;  ///< removed with live charges
-  std::uint64_t forced_frames_uncharged = 0;  ///< frames rescued from the leak
+  VIALOCK_GOVERNOR_STATS(VIALOCK_STAT_MEMBER)
 };
 
 /// Snapshot of one tenant's accounting, for procfs and tests.
@@ -187,6 +199,9 @@ class PinGovernor final : public simkern::PressureHandler {
   // --- accessors ---------------------------------------------------------------
   [[nodiscard]] const GovernorConfig& config() const { return config_; }
   [[nodiscard]] const GovernorStats& stats() const { return stats_; }
+  /// The `pinmgr` metric source: the GovernorStats rows (also the stats
+  /// block of /proc/pinmgr), then the charge, tenant and queue gauges.
+  [[nodiscard]] static obs::MetricTable metric_rows();
   /// Distinct frames currently charged host-wide.
   [[nodiscard]] std::uint32_t total_charged() const {
     return total_charged_;

@@ -6,28 +6,12 @@ namespace vialock::pinmgr {
 
 std::string pinstat(const PinGovernor& gov) {
   std::ostringstream os;
-  const GovernorStats& s = gov.stats();
   os << "ceiling_pages " << gov.ceiling() << "\n"
      << "charged_pages " << gov.total_charged() << "\n"
      << "guaranteed_reserve " << gov.config().guaranteed_reserve << "\n"
      << "lazy_batch " << gov.config().lazy_batch << "\n"
      << "lazy_queue_depth " << gov.lazy_queue_depth() << "\n"
-     << "admitted " << s.admitted << "\n"
-     << "rejected_quota " << s.rejected_quota << "\n"
-     << "rejected_ceiling " << s.rejected_ceiling << "\n"
-     << "rejected_injected " << s.rejected_injected << "\n"
-     << "frames_charged " << s.frames_charged << "\n"
-     << "dedup_hits " << s.dedup_hits << "\n"
-     << "lazy_queued " << s.lazy_queued << "\n"
-     << "lazy_drains " << s.lazy_drains << "\n"
-     << "lazy_drained_entries " << s.lazy_drained_entries << "\n"
-     << "flushes " << s.flushes << "\n"
-     << "reclaim_invocations " << s.reclaim_invocations << "\n"
-     << "reclaim_pages " << s.reclaim_pages << "\n"
-     << "reclaim_failures " << s.reclaim_failures << "\n"
-     << "tenants_removed " << s.tenants_removed << "\n"
-     << "forced_tenant_removals " << s.forced_tenant_removals << "\n"
-     << "forced_frames_uncharged " << s.forced_frames_uncharged << "\n";
+     << obs::render_fields(PinGovernor::metric_rows(), &gov.stats());
   const auto tenants = gov.tenants();
   os << "tenants " << tenants.size() << "\n";
   for (const TenantInfo& t : tenants) {

@@ -1104,27 +1104,10 @@ void ScenarioEngine::teardown() {
   for (const auto& s : kv_servers_) {
     s->shutdown();
     const svc::KvServerStats& ss = s->stats();
-    kvsvc_stats_.conns_accepted += ss.conns_accepted;
-    kvsvc_stats_.conns_shed += ss.conns_shed;
-    kvsvc_stats_.conns_closed += ss.conns_closed;
-    kvsvc_stats_.conns_abandoned += ss.conns_abandoned;
-    kvsvc_stats_.admission_rejected += ss.admission_rejected;
-    kvsvc_stats_.requests += ss.requests;
-    kvsvc_stats_.gets += ss.gets;
-    kvsvc_stats_.puts += ss.puts;
-    kvsvc_stats_.not_found += ss.not_found;
-    kvsvc_stats_.corrupt_payloads += ss.corrupt_payloads;
-    kvsvc_stats_.arena_full += ss.arena_full;
-    kvsvc_stats_.inline_bytes += ss.inline_bytes;
-    kvsvc_stats_.eager_copies += ss.eager_copies;
-    kvsvc_stats_.rendezvous_ops += ss.rendezvous_ops;
-    kvsvc_stats_.rendezvous_bytes += ss.rendezvous_bytes;
-    kvsvc_stats_.rendezvous_failed += ss.rendezvous_failed;
-    kvsvc_stats_.batches += ss.batches;
-    kvsvc_stats_.batched_completions += ss.batched_completions;
-    kvsvc_stats_.batched_replies += ss.batched_replies;
-    kvsvc_stats_.requests_dropped += ss.requests_dropped;
-    kvsvc_stats_.send_errors += ss.send_errors;
+    // The server half of KvServiceStats is declared from the same list as
+    // KvServerStats, a common initial sequence, so the rows' offsets fit it.
+    for (const obs::MetricRow& r : svc::KvServer::metric_rows())
+      if (r.is_field()) r.field(&kvsvc_stats_) += r.field(&ss);
     counters_.bytes_moved += ss.inline_bytes + ss.rendezvous_bytes;
   }
   kv_servers_.clear();

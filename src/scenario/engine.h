@@ -68,27 +68,7 @@ struct ScenarioCounters {
 /// JSON report instead.
 struct KvServiceStats {
   // Server side (summed over servers).
-  std::uint64_t conns_accepted = 0;
-  std::uint64_t conns_shed = 0;
-  std::uint64_t conns_closed = 0;
-  std::uint64_t conns_abandoned = 0;
-  std::uint64_t admission_rejected = 0;
-  std::uint64_t requests = 0;
-  std::uint64_t gets = 0;
-  std::uint64_t puts = 0;
-  std::uint64_t not_found = 0;
-  std::uint64_t corrupt_payloads = 0;
-  std::uint64_t arena_full = 0;
-  std::uint64_t inline_bytes = 0;
-  std::uint64_t eager_copies = 0;
-  std::uint64_t rendezvous_ops = 0;
-  std::uint64_t rendezvous_bytes = 0;
-  std::uint64_t rendezvous_failed = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t batched_completions = 0;
-  std::uint64_t batched_replies = 0;
-  std::uint64_t requests_dropped = 0;
-  std::uint64_t send_errors = 0;
+  VIALOCK_KV_SERVER_STATS(VIALOCK_STAT_MEMBER)
   // Client side (summed over client hosts).
   std::uint64_t client_requests_lost = 0;
   std::uint64_t client_data_corrupt = 0;

@@ -2,12 +2,52 @@
 // kernel-I/O page locking used by the E7 hazard experiment.
 #include "simkern/kernel.h"
 
+#include <array>
 #include <cassert>
+#include <cstddef>
+#include <string>
 
 #include "obs/export.h"
 #include "simkern/procfs.h"
 
 namespace vialock::simkern {
+
+namespace {
+
+/// The `fault` metric source: the engine's injection total, then every
+/// site's `<site>.seen` / `<site>.injected` FaultStats counters. The names
+/// are built once, on first use.
+obs::MetricTable fault_rows() {
+  constexpr std::size_t kSites = fault::kNumFaultSites;
+  static const std::array<std::string, 2 * kSites> names = [] {
+    std::array<std::string, 2 * kSites> n;
+    for (std::size_t i = 0; i < kSites; ++i) {
+      const auto site = static_cast<fault::FaultSite>(i);
+      const std::string base(fault::to_string(site));
+      n[2 * i] = base + ".seen";
+      n[2 * i + 1] = base + ".injected";
+    }
+    return n;
+  }();
+  static const std::array<obs::MetricRow, 1 + 2 * kSites> rows = [] {
+    std::array<obs::MetricRow, 1 + 2 * kSites> r;
+    r[0] = obs::computed<[](const fault::FaultEngine& e) {
+                           return e.stats().total_injected();
+                         },
+                         obs::MetricKind::Counter>("injected_total");
+    for (std::size_t i = 0; i < kSites; ++i) {
+      const std::size_t at = i * sizeof(std::uint64_t);
+      r[1 + 2 * i] = {names[2 * i], obs::MetricKind::Counter,
+                      offsetof(fault::FaultStats, events_seen) + at};
+      r[2 + 2 * i] = {names[2 * i + 1], obs::MetricKind::Counter,
+                      offsetof(fault::FaultStats, faults_injected) + at};
+    }
+    return r;
+  }();
+  return rows;
+}
+
+}  // namespace
 
 Kernel::Kernel(const KernelConfig& config, Clock& clock, CostModel costs)
     : config_(config),
@@ -19,35 +59,22 @@ Kernel::Kernel(const KernelConfig& config, Clock& clock, CostModel costs)
   spans_.mirror_to(&trace_);
   reclaim_ns_hist_ = &metrics_.histogram("simkern.vm.reclaim_ns");
   reclaim_freed_hist_ = &metrics_.histogram("simkern.vm.reclaim_freed_pages");
-  metrics_.register_source("simkern", this, [this](obs::MetricSink& s) {
-    s.counter("vm.syscalls", stats_.syscalls);
-    s.counter("vm.minor_faults", stats_.minor_faults);
-    s.counter("vm.major_faults", stats_.major_faults);
-    s.counter("vm.cow_breaks", stats_.cow_breaks);
-    s.counter("vm.pages_swapped_out", stats_.pages_swapped_out);
-    s.counter("vm.pages_swapped_in", stats_.pages_swapped_in);
-    s.counter("vm.reclaim_runs", stats_.reclaim_runs);
-    s.counter("vm.clock_scanned", stats_.clock_scanned);
-    s.counter("vm.pressure_callbacks", stats_.pressure_callbacks);
-    s.counter("vm.pressure_pages_released", stats_.pressure_pages_released);
-    s.counter("vm.swap_skip_pinned", stats_.swap_skip_pinned);
-    s.counter("vm.oom_failures", stats_.oom_failures);
-    s.counter("mlock.calls", stats_.mlock_calls);
-    s.counter("kiobuf.maps", stats_.kiobuf_maps);
-    s.counter("kiobuf.pages_pinned", stats_.kiobuf_pages_pinned);
-    s.counter("filecache.hits", stats_.pagecache_hits);
-    s.counter("filecache.misses", stats_.pagecache_misses);
-    s.gauge("mem.free_frames", free_frames());
-    s.gauge("mem.pinned_frames", pinned_frames());
-    s.gauge("mem.page_cache_pages", page_cache_pages());
-  });
-  metrics_.register_source("obs", this, [this](obs::MetricSink& s) {
-    s.counter("spans.recorded", spans_.spans().size());
-    s.gauge("spans.open", spans_.open_spans());
-    s.counter("spans.dropped", spans_.dropped());
-    s.counter("spans.unbalanced_closes", spans_.unbalanced_closes());
-    s.counter("flight.dumps", flight_.dumps());
-  });
+  metrics_.register_source("simkern", this, &stats_, metric_rows());
+  static constexpr obs::MetricRow kObsRows[] = {
+      obs::computed<[](const Kernel& k) { return k.spans().spans().size(); },
+                    obs::MetricKind::Counter>("spans.recorded"),
+      obs::computed<[](const Kernel& k) { return k.spans().open_spans(); }>(
+          "spans.open"),
+      obs::computed<[](const Kernel& k) { return k.spans().dropped(); },
+                    obs::MetricKind::Counter>("spans.dropped"),
+      obs::computed<[](const Kernel& k) {
+                      return k.spans().unbalanced_closes();
+                    },
+                    obs::MetricKind::Counter>("spans.unbalanced_closes"),
+      obs::computed<[](const Kernel& k) { return k.flight().dumps(); },
+                    obs::MetricKind::Counter>("flight.dumps"),
+  };
+  metrics_.register_source("obs", this, nullptr, kObsRows);
   procfs_.mount("meminfo", this, [this] { return meminfo(*this); });
   procfs_.mount("vmstat", this, [this] { return vmstat(*this); });
   procfs_.mount("metrics", this,
@@ -62,16 +89,26 @@ void Kernel::set_fault_engine(fault::FaultEngine* engine) {
   swap_.set_fault_engine(engine);
   buddy_.set_fault_engine(engine);
   if (engine) {
-    metrics_.register_source("fault", engine, [engine](obs::MetricSink& s) {
-      s.counter("injected_total", engine->stats().total_injected());
-      for (std::size_t i = 0; i < fault::kNumFaultSites; ++i) {
-        const auto site = static_cast<fault::FaultSite>(i);
-        const std::string base(fault::to_string(site));
-        s.counter(base + ".seen", engine->stats().events_seen[i]);
-        s.counter(base + ".injected", engine->stats().faults_injected[i]);
-      }
-    });
+    metrics_.register_source("fault", engine, &engine->stats(), fault_rows());
   }
+}
+
+obs::MetricTable Kernel::metric_rows() {
+  using Stats = KernelStats;
+#define VIALOCK_VMSTAT_LINE(key, value)                                 \
+  obs::computed<[](const Kernel& k) -> std::uint64_t { return value; }, \
+                obs::MetricKind::Counter>("", key),
+  static constexpr obs::MetricRow kRows[] = {
+      VIALOCK_KERNEL_STATS(VIALOCK_STAT_ROW, VIALOCK_VMSTAT_LINE)
+      obs::computed<[](const Kernel& k) { return k.free_frames(); }>(
+          "mem.free_frames"),
+      obs::computed<[](const Kernel& k) { return k.pinned_frames(); }>(
+          "mem.pinned_frames"),
+      obs::computed<[](const Kernel& k) { return k.page_cache_pages(); }>(
+          "mem.page_cache_pages"),
+  };
+#undef VIALOCK_VMSTAT_LINE
+  return kRows;
 }
 
 // ---------------------------------------------------------------------------

@@ -40,27 +40,10 @@ std::string meminfo(const Kernel& kern) {
 
 std::string vmstat(const Kernel& kern) {
   std::ostringstream os;
-  const KernelStats& s = kern.stats();
-  os << "pgfault_minor " << s.minor_faults << "\n"
-     << "pgfault_major " << s.major_faults << "\n"
-     << "cow_breaks " << s.cow_breaks << "\n"
-     << "pswpout " << s.pages_swapped_out << "\n"
-     << "pswpin " << s.pages_swapped_in << "\n"
-     << "readahead " << s.readahead_pages << "\n"
-     << "reclaim_runs " << s.reclaim_runs << "\n"
-     << "clock_scanned " << s.clock_scanned << "\n"
-     << "pgcache_hit " << s.pagecache_hits << "\n"
-     << "pgcache_miss " << s.pagecache_misses << "\n"
-     << "pgcache_reclaimed " << s.pagecache_reclaimed << "\n"
-     << "kiobuf_maps " << s.kiobuf_maps << "\n"
-     << "kiobuf_pins " << s.kiobuf_pages_pinned << "\n"
-     << "pressure_callbacks " << s.pressure_callbacks << "\n"
-     << "pressure_pages_released " << s.pressure_pages_released << "\n"
-     << "syscalls " << s.syscalls << "\n"
-     << "swap_io_errors " << kern.swap().io_errors() << "\n"
-     << "swap_io_delays " << kern.swap().io_delays() << "\n"
-     << "swap_io_corruptions " << kern.swap().io_corruptions() << "\n"
-     << "kiobuf_fault_rejections " << s.kiobuf_fault_rejections << "\n";
+  for (const obs::MetricRow& r : Kernel::metric_rows()) {
+    if (!r.proc.empty())
+      os << r.proc << " " << r.value(&kern, &kern.stats()) << "\n";
+  }
   // Cumulative injection counters per fault site, when chaos is armed.
   if (const fault::FaultEngine* fe = kern.fault_engine()) {
     for (std::size_t i = 0; i < fault::kNumFaultSites; ++i) {

@@ -42,42 +42,32 @@ KvServer::KvServer(via::Cluster& cluster, via::NodeId node,
       node_id_(node),
       config_(config),
       op_ns_(node_.kernel().metrics().histogram("svc.kv.op_ns")) {
-  node_.kernel().metrics().register_source("svc", this, [this](
-                                                           obs::MetricSink& s) {
-    s.counter("conns_accepted", stats_.conns_accepted);
-    s.counter("conns_shed", stats_.conns_shed);
-    s.counter("conns_closed", stats_.conns_closed);
-    s.counter("conn_abandoned", stats_.conns_abandoned);
-    s.counter("admission_rejected", stats_.admission_rejected);
-    s.counter("requests", stats_.requests);
-    s.counter("gets", stats_.gets);
-    s.counter("puts", stats_.puts);
-    s.counter("not_found", stats_.not_found);
-    s.counter("bad_requests", stats_.bad_requests);
-    s.counter("corrupt_payloads", stats_.corrupt_payloads);
-    s.counter("arena_full", stats_.arena_full);
-    s.counter("inline_bytes", stats_.inline_bytes);
-    s.counter("eager_copies", stats_.eager_copies);
-    s.counter("rendezvous_ops", stats_.rendezvous_ops);
-    s.counter("rendezvous_bytes", stats_.rendezvous_bytes);
-    s.counter("rendezvous_failed", stats_.rendezvous_failed);
-    s.counter("batches", stats_.batches);
-    s.counter("batched_completions", stats_.batched_completions);
-    s.counter("batched_replies", stats_.batched_replies);
-    s.counter("requests_dropped", stats_.requests_dropped);
-    s.counter("send_errors", stats_.send_errors);
-    s.gauge("open_conns", open_conns_);
-    // SLO-relevant backpressure gauges: replies posted but not yet seen
-    // complete (pipeline depth the watchdogs track alongside op_ns.p99),
-    // and how much of the tenant value arenas is bump-allocated.
-    std::uint64_t inflight = 0;
-    for (const Conn& c : conns_)
-      if (c.open) inflight += c.rsp_inflight;
-    s.gauge("rsp_inflight", inflight);
-    std::uint64_t arena_used = 0;
-    for (const auto& t : tenants_) arena_used += t->arena_off;
-    s.gauge("arena_used_bytes", arena_used);
-  });
+  node_.kernel().metrics().register_source("svc", this, &stats_,
+                                           metric_rows());
+}
+
+obs::MetricTable KvServer::metric_rows() {
+  using Stats = KvServerStats;
+  static constexpr obs::MetricRow kRows[] = {
+      VIALOCK_KV_SERVER_STATS(VIALOCK_STAT_ROW)
+      obs::computed<[](const KvServer& s) { return s.open_conns_; }>(
+          "open_conns"),
+      // SLO-relevant backpressure gauges: replies posted but not yet seen
+      // complete (pipeline depth the watchdogs track alongside op_ns.p99),
+      // and how much of the tenant value arenas is bump-allocated.
+      obs::computed<[](const KvServer& s) {
+        std::uint64_t inflight = 0;
+        for (const Conn& c : s.conns_)
+          if (c.open) inflight += c.rsp_inflight;
+        return inflight;
+      }>("rsp_inflight"),
+      obs::computed<[](const KvServer& s) {
+        std::uint64_t arena_used = 0;
+        for (const auto& t : s.tenants_) arena_used += t->arena_off;
+        return arena_used;
+      }>("arena_used_bytes"),
+  };
+  return kRows;
 }
 
 KvServer::~KvServer() {

@@ -60,34 +60,45 @@ struct KvServerConfig {
   std::size_t cache_max_idle = 256;
 };
 
+/// The server's counters, exported as `svc.<name>`: X(member, metric name,
+/// kind).
+#define VIALOCK_KV_SERVER_STATS(X)                                          \
+  /* Connection lifecycle: BestEffort refused at the headroom probe, */     \
+  /* graceful close(), abrupt teardown with resources reclaimed, ring */    \
+  /* registration refused. */                                               \
+  X(conns_accepted, "conns_accepted", Counter)                              \
+  X(conns_shed, "conns_shed", Counter)                                      \
+  X(conns_closed, "conns_closed", Counter)                                  \
+  X(conns_abandoned, "conn_abandoned", Counter)                             \
+  X(admission_rejected, "admission_rejected", Counter)                      \
+  /* Request execution: a header failed magic/length checks, a value */     \
+  /* checksum mismatched. */                                                \
+  X(requests, "requests", Counter)                                          \
+  X(gets, "gets", Counter)                                                  \
+  X(puts, "puts", Counter)                                                  \
+  X(not_found, "not_found", Counter)                                        \
+  X(bad_requests, "bad_requests", Counter)                                  \
+  X(corrupt_payloads, "corrupt_payloads", Counter)                          \
+  X(arena_full, "arena_full", Counter)                                      \
+  /* Data-path byte accounting (the zero-copy evidence): value bytes */     \
+  /* through eager slots, slot<->arena copies, value bytes moved by RDMA */ \
+  X(inline_bytes, "inline_bytes", Counter)                                  \
+  X(eager_copies, "eager_copies", Counter)                                  \
+  X(rendezvous_ops, "rendezvous_ops", Counter)                              \
+  X(rendezvous_bytes, "rendezvous_bytes", Counter)                          \
+  X(rendezvous_failed, "rendezvous_failed", Counter)                        \
+  /* Batching: service cycles that found work, completions drained in */    \
+  /* batches, replies sent via one doorbell. */                             \
+  X(batches, "batches", Counter)                                            \
+  X(batched_completions, "batched_completions", Counter)                    \
+  X(batched_replies, "batched_replies", Counter)                            \
+  /* Hygiene: stale completions of dead conns, replies/RDMA completed */    \
+  /* with an error. */                                                      \
+  X(requests_dropped, "requests_dropped", Counter)                          \
+  X(send_errors, "send_errors", Counter)
+
 struct KvServerStats {
-  // Connection lifecycle.
-  std::uint64_t conns_accepted = 0;
-  std::uint64_t conns_shed = 0;      ///< BestEffort refused at the headroom probe
-  std::uint64_t conns_closed = 0;    ///< graceful close()
-  std::uint64_t conns_abandoned = 0; ///< abrupt teardown, resources reclaimed
-  std::uint64_t admission_rejected = 0;  ///< ring registration refused
-  // Request execution.
-  std::uint64_t requests = 0;
-  std::uint64_t gets = 0;
-  std::uint64_t puts = 0;
-  std::uint64_t not_found = 0;
-  std::uint64_t bad_requests = 0;      ///< header failed magic/length checks
-  std::uint64_t corrupt_payloads = 0;  ///< value checksum mismatch
-  std::uint64_t arena_full = 0;
-  // Data-path byte accounting (the zero-copy evidence).
-  std::uint64_t inline_bytes = 0;      ///< value bytes through eager slots
-  std::uint64_t eager_copies = 0;      ///< slot<->arena copies performed
-  std::uint64_t rendezvous_ops = 0;
-  std::uint64_t rendezvous_bytes = 0;  ///< value bytes moved by RDMA
-  std::uint64_t rendezvous_failed = 0;
-  // Batching.
-  std::uint64_t batches = 0;              ///< service cycles that found work
-  std::uint64_t batched_completions = 0;  ///< completions drained in batches
-  std::uint64_t batched_replies = 0;      ///< replies sent via one doorbell
-  // Hygiene.
-  std::uint64_t requests_dropped = 0;  ///< stale completions of dead conns
-  std::uint64_t send_errors = 0;       ///< reply/RDMA completed with an error
+  VIALOCK_KV_SERVER_STATS(VIALOCK_STAT_MEMBER)
 };
 
 class KvServer {
@@ -148,6 +159,9 @@ class KvServer {
   void shutdown();
 
   [[nodiscard]] const KvServerStats& stats() const { return stats_; }
+  /// The `svc` metric source: the KvServerStats rows, then the connection,
+  /// pipeline-depth and arena gauges.
+  [[nodiscard]] static obs::MetricTable metric_rows();
   [[nodiscard]] const KvServerConfig& config() const { return config_; }
   [[nodiscard]] via::NodeId node_id() const { return node_id_; }
   [[nodiscard]] std::uint32_t open_conns() const { return open_conns_; }

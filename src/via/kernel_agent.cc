@@ -3,24 +3,22 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
-#include <sstream>
 #include <vector>
 
 namespace vialock::via {
 
 std::string agent_status(const AgentStats& s) {
-  std::ostringstream os;
-  os << "registrations " << s.registrations << "\n"
-     << "deregistrations " << s.deregistrations << "\n"
-     << "pages_registered " << s.pages_registered << "\n"
-     << "lock_failures " << s.lock_failures << "\n"
-     << "tpt_full " << s.tpt_full << "\n"
-     << "admission_rejects " << s.admission_rejects << "\n"
-     << "lazy_deregs " << s.lazy_deregs << "\n"
-     << "refresh_failures " << s.refresh_failures << "\n"
-     << "tpt_entries_programmed " << s.tpt_entries_programmed << "\n"
-     << "refresh_splits " << s.refresh_splits << "\n";
-  return os.str();
+  return obs::render_fields(KernelAgent::metric_rows(), &s);
+}
+
+obs::MetricTable KernelAgent::metric_rows() {
+  using Stats = AgentStats;
+  static constexpr obs::MetricRow kRows[] = {
+      VIALOCK_AGENT_STATS(VIALOCK_STAT_ROW)
+      obs::computed<[](const KernelAgent& a) { return a.regs_.size(); }>(
+          "live_registrations"),
+  };
+  return kRows;
 }
 
 KernelAgent::KernelAgent(simkern::Kernel& kern, Nic& nic, LockPolicy& policy)
@@ -31,20 +29,7 @@ KernelAgent::KernelAgent(simkern::Kernel& kern, Nic& nic, LockPolicy& policy)
       dereg_ns_(kern.metrics().histogram("via.agent.dereg_ns")),
       refresh_ns_(kern.metrics().histogram("via.agent.refresh_ns")),
       tpt_alloc_pages_(kern.metrics().histogram("via.tpt.alloc_pages")) {
-  kern_.metrics().register_source(
-      "via.agent", this, [this](obs::MetricSink& s) {
-        s.counter("registrations", stats_.registrations);
-        s.counter("deregistrations", stats_.deregistrations);
-        s.counter("pages_registered", stats_.pages_registered);
-        s.counter("lock_failures", stats_.lock_failures);
-        s.counter("tpt_full", stats_.tpt_full);
-        s.counter("admission_rejects", stats_.admission_rejects);
-        s.counter("lazy_deregs", stats_.lazy_deregs);
-        s.counter("refresh_failures", stats_.refresh_failures);
-        s.counter("tpt_entries_programmed", stats_.tpt_entries_programmed);
-        s.counter("refresh_splits", stats_.refresh_splits);
-        s.gauge("live_registrations", regs_.size());
-      });
+  kern_.metrics().register_source("via.agent", this, &stats_, metric_rows());
   kern_.procfs().mount("via/agent", this,
                        [this] { return agent_status(stats_); });
 }

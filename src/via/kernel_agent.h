@@ -29,22 +29,28 @@
 
 namespace vialock::via {
 
+/// The agent's counters, exported as `via.agent.<name>` and shown in
+/// /proc/via/agent: X(member, metric name, kind).
+#define VIALOCK_AGENT_STATS(X)                                           \
+  X(registrations, "registrations", Counter)                             \
+  X(deregistrations, "deregistrations", Counter)                         \
+  X(pages_registered, "pages_registered", Counter)                       \
+  X(lock_failures, "lock_failures", Counter)                             \
+  X(tpt_full, "tpt_full", Counter)                                       \
+  /* the governor refused a registration */                              \
+  X(admission_rejects, "admission_rejects", Counter)                     \
+  /* deregs deferred to the governor */                                  \
+  X(lazy_deregs, "lazy_deregs", Counter)                                 \
+  /* refresh_tpt tore a registration down on a failed re-pin */          \
+  X(refresh_failures, "refresh_failures", Counter)                       \
+  /* entries written (== pages at order 0; fewer with superpages) */     \
+  X(tpt_entries_programmed, "tpt_entries_programmed", Counter)           \
+  /* refresh reallocated the TPT range because relocation changed the */ \
+  /* superpage decomposition */                                          \
+  X(refresh_splits, "refresh_splits", Counter)
+
 struct AgentStats {
-  std::uint64_t registrations = 0;
-  std::uint64_t deregistrations = 0;
-  std::uint64_t pages_registered = 0;
-  std::uint64_t lock_failures = 0;
-  std::uint64_t tpt_full = 0;
-  std::uint64_t admission_rejects = 0;  ///< governor refused a registration
-  std::uint64_t lazy_deregs = 0;        ///< deregs deferred to the governor
-  std::uint64_t refresh_failures = 0;   ///< refresh_tpt torn a registration
-                                        ///< down on a failed re-pin
-  std::uint64_t tpt_entries_programmed = 0;  ///< entries written (== pages
-                                             ///< at order 0; fewer with
-                                             ///< superpages)
-  std::uint64_t refresh_splits = 0;  ///< refresh reallocated the TPT range
-                                     ///< because relocation changed the
-                                     ///< superpage decomposition
+  VIALOCK_AGENT_STATS(VIALOCK_STAT_MEMBER)
 };
 
 /// /proc/via/agent: the agent's registration counters as "key value" lines.
@@ -141,6 +147,9 @@ class KernelAgent {
 
   [[nodiscard]] LockPolicy& policy() { return policy_; }
   [[nodiscard]] const AgentStats& stats() const { return stats_; }
+  /// The `via.agent` metric source: the AgentStats rows (also the
+  /// /proc/via/agent lines), then the live-registration gauge.
+  [[nodiscard]] static obs::MetricTable metric_rows();
   [[nodiscard]] Nic& nic() { return nic_; }
   [[nodiscard]] simkern::Kernel& kern() { return kern_; }
 

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "obs/export.h"
 
@@ -220,19 +223,55 @@ TEST(MetricRegistry, SnapshotSortedByName) {
 
 // --- pull sources and owner semantics ---------------------------------------
 
+// A stats struct declared the way src/ declares them: one X-macro list
+// drives the members and the rows.
+#define TEST_STATS(X)      \
+  X(hits, "hits", Counter) \
+  X(hidden, "", Counter)   \
+  X(misses, "misses", Counter)
+
+struct TestStats {
+  TEST_STATS(VIALOCK_STAT_MEMBER)
+};
+
+struct TestOwner {
+  TestStats stats;
+  std::uint64_t live = 0;
+
+  static MetricTable rows() {
+    using Stats = TestStats;
+    static constexpr MetricRow kRows[] = {
+        TEST_STATS(VIALOCK_STAT_ROW)
+        computed<[](const TestOwner& o) { return o.live; }>("live"),
+    };
+    return kRows;
+  }
+};
+
 TEST(MetricRegistry, SourcePrefixesNames) {
   MetricRegistry reg;
-  int owner = 0;
-  reg.register_source("via.agent", &owner, [](MetricSink& s) {
-    s.counter("hits", 5);
-    s.gauge("live", 2);
-  });
+  TestOwner owner;
+  owner.stats.hits = 5;
+  owner.stats.hidden = 9;
+  owner.live = 2;
+  reg.register_source("via.agent", &owner, &owner.stats, TestOwner::rows());
   const Snapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.size(), 2u);
+  ASSERT_EQ(snap.size(), 3u) << "a row with an empty name is not exported";
   EXPECT_EQ(snap[0].name, "via.agent.hits");
   EXPECT_EQ(snap[0].value, 5u);
   EXPECT_EQ(snap[1].name, "via.agent.live");
   EXPECT_EQ(snap[1].kind, MetricKind::Gauge);
+  EXPECT_EQ(snap[1].value, 2u);
+  EXPECT_EQ(snap[2].name, "via.agent.misses");
+  EXPECT_EQ(snap[2].kind, MetricKind::Counter);
+}
+
+TEST(MetricRegistry, RenderFieldsPrintsNamedFieldRows) {
+  TestStats s;
+  s.hits = 3;
+  s.misses = 4;
+  EXPECT_EQ(render_fields(TestOwner::rows(), &s), "hits 3\nmisses 4\n")
+      << "computed rows and unnamed fields are not part of the block";
 }
 
 TEST(MetricRegistry, ReRegisterReplacesAndOldOwnerUnregisterIsNoop) {
@@ -240,35 +279,66 @@ TEST(MetricRegistry, ReRegisterReplacesAndOldOwnerUnregisterIsNoop) {
   // BEFORE the original is destroyed; the original's dtor unregister must
   // not tear down the replacement's source.
   MetricRegistry reg;
-  int old_owner = 0, new_owner = 0;
-  reg.register_source("pinmgr", &old_owner,
-                      [](MetricSink& s) { s.counter("v", 1); });
-  reg.register_source("pinmgr", &new_owner,
-                      [](MetricSink& s) { s.counter("v", 2); });
+  TestOwner old_owner, new_owner;
+  old_owner.stats.hits = 1;
+  new_owner.stats.hits = 2;
+  reg.register_source("pinmgr", &old_owner, &old_owner.stats,
+                      TestOwner::rows());
+  reg.register_source("pinmgr", &new_owner, &new_owner.stats,
+                      TestOwner::rows());
   reg.unregister_source("pinmgr", &old_owner);  // stale: must be a no-op
   ASSERT_EQ(reg.num_sources(), 1u);
   const Snapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.size(), 1u);
+  ASSERT_EQ(snap.size(), 3u);
   EXPECT_EQ(snap[0].value, 2u) << "the replacement's source must survive";
   reg.unregister_source("pinmgr", &new_owner);
   EXPECT_EQ(reg.num_sources(), 0u);
 }
 
+TEST(MetricRegistry, SnapshotIntoReusesTheBufferUntilTheLayoutChanges) {
+  MetricRegistry reg;
+  TestOwner owner;
+  reg.counter("a.total").inc();
+  reg.register_source("core.regcache", &owner, &owner.stats,
+                      TestOwner::rows());
+  Snapshot buf;
+  std::uint64_t gen = 0;
+  EXPECT_FALSE(reg.snapshot_into(buf, gen)) << "first fill builds";
+  ASSERT_EQ(buf.size(), 4u);
+  owner.stats.misses = 7;
+  EXPECT_TRUE(reg.snapshot_into(buf, gen)) << "same layout: in place";
+  EXPECT_EQ(buf[2].name, "core.regcache.misses");  // emission order
+  EXPECT_EQ(buf[2].value, 7u);
+  (void)reg.gauge("b.level");
+  EXPECT_FALSE(reg.snapshot_into(buf, gen)) << "a new instrument rebuilds";
+  EXPECT_EQ(buf.size(), 5u);
+
+  // fold_into adds values positionally through a merge plan, and refuses
+  // once the layout moved on.
+  Snapshot target(2);
+  // a.total, b.level, hits, misses, live -> slots 0, 1, -, 1, -.
+  const std::vector<std::uint32_t> map = {0, 1, kNoFoldSlot, 1, kNoFoldSlot};
+  ASSERT_TRUE(reg.fold_into(target, map, gen));
+  EXPECT_EQ(target[0].value, 1u);  // a.total
+  EXPECT_EQ(target[1].value, 7u);  // b.level (0) + misses (7)
+  reg.unregister_source("core.regcache", &owner);
+  EXPECT_FALSE(reg.fold_into(target, map, gen));
+}
+
 TEST(MetricRegistry, SnapshotDeterminismAcrossIdenticalRuns) {
   // Two registries fed the same sequence must export byte-identical text -
   // the property the --metrics determinism gate builds on.
-  const auto populate = [](MetricRegistry& reg, int& owner) {
+  const auto populate = [](MetricRegistry& reg, TestOwner& owner) {
     reg.counter("via.agent.register_total").inc(7);
     reg.gauge("simkern.mem.free_frames").set(1234);
     Histogram& h = reg.histogram("via.agent.register_ns");
     for (std::uint64_t v = 1; v < 100; v += 7) h.add(v * v);
-    reg.register_source("msg.ch", &owner, [](MetricSink& s) {
-      s.counter("bytes_moved", 65536);
-      s.counter("retries", 3);
-    });
+    owner.stats.hits = 65536;
+    owner.stats.misses = 3;
+    reg.register_source("msg.ch", &owner, &owner.stats, TestOwner::rows());
   };
   MetricRegistry r1, r2;
-  int o1 = 0, o2 = 0;
+  TestOwner o1, o2;
   populate(r1, o1);
   populate(r2, o2);
   EXPECT_EQ(to_proc_text(r1.snapshot()), to_proc_text(r2.snapshot()));
