@@ -56,26 +56,26 @@ struct Golden {
 // Smoke scale: the two large specs are shrunk, the rest run as bundled.
 const std::vector<Golden>& goldens() {
   static const std::vector<Golden> g = {
-      {"chaos-churn", {}, 0x20a764572ea5240cULL, 0xac8d40807e2e0979ULL},
+      {"chaos-churn", {}, 0x20a764572ea5240cULL, 0x712630dd019afbb5ULL},
       {"cluster-1m",
        {{"hosts", "32"},
         {"servers", "4"},
         {"ops_per_tenant", "100"},
         {"churn_regs_per_tenant", "25"}},
        0x8329b23e36cf87e8ULL,
-       0xb474147d984d73fbULL},
-      {"e12-collectives", {}, 0xc8f5c5c9fe8deb22ULL, 0x77845b9bfadaaee1ULL},
+       0xd2fbb30ad154dd7eULL},
+      {"e12-collectives", {}, 0xc8f5c5c9fe8deb22ULL, 0x320300c741e58c22ULL},
       {"kv-server",
        {{"hosts", "20"},
         {"servers", "4"},
         {"connections_per_client", "8"},
         {"conn_churn_per_client", "1"}},
        0x32be1b50a9e6d69dULL,
-       0x981b0fcc5463acceULL},
-      {"pipeline", {}, 0x0e6b0b353e0fa131ULL, 0xebb38f00a8028d06ULL},
-      {"ps-allreduce", {}, 0xc762b91c8b65c5f7ULL, 0x5d2b5abfeac5f815ULL},
-      {"rpc-fanout", {}, 0x70645dc72e8c4d8bULL, 0xaa956110f623b2f1ULL},
-      {"skewed-kv", {}, 0xd39a56313f8f0e79ULL, 0x71ae09882a2cb518ULL},
+       0xbf95af78c1e97cacULL},
+      {"pipeline", {}, 0x0e6b0b353e0fa131ULL, 0x32b209a4132c73bbULL},
+      {"ps-allreduce", {}, 0xc762b91c8b65c5f7ULL, 0x9c05a031b392b843ULL},
+      {"rpc-fanout", {}, 0x70645dc72e8c4d8bULL, 0x1895d5afcad8087eULL},
+      {"skewed-kv", {}, 0xd39a56313f8f0e79ULL, 0x287a050fd645eb21ULL},
   };
   return g;
 }
