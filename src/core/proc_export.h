@@ -26,6 +26,8 @@ namespace vialock::core {
 }
 
 /// /proc/regcache/p<pid>: a registration cache's hit/miss/eviction counters.
-[[nodiscard]] std::string regcache_status(const RegCacheStats& stats);
+[[nodiscard]] inline std::string regcache_status(const RegCacheStats& stats) {
+  return obs::render_fields(RegistrationCache::metric_rows(), &stats);
+}
 
 }  // namespace vialock::core
