@@ -4,7 +4,11 @@
 // experiment binaries quick; unrelated to the paper's claims.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
 #include "experiments/pressure.h"
+#include "mp/comm.h"
 #include "msg/transport.h"
 #include "via/node.h"
 
@@ -87,6 +91,51 @@ void BM_EagerTransfer(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * len);
 }
 BENCHMARK(BM_EagerTransfer)->Arg(64)->Arg(4096);
+
+/// A communicator of `ranks` ranks, one per host, every pair linked by VIs.
+struct MpBox {
+  explicit MpBox(std::uint32_t ranks) {
+    via::NodeSpec spec;
+    spec.kernel = bench_kernel();
+    spec.policy = via::PolicyKind::Kiobuf;
+    std::vector<via::NodeId> nodes;
+    for (std::uint32_t r = 0; r < ranks; ++r)
+      nodes.push_back(cluster.add_node(spec));
+    mp::Comm::Config cfg;
+    cfg.eager_credits = 4;
+    cfg.eager_slot_size = 4096;
+    cfg.unexpected_slots = 8;
+    cfg.heap_bytes = 64 * 1024;
+    comm = std::make_unique<mp::Comm>(cluster, std::move(nodes), cfg);
+  }
+  via::Cluster cluster;
+  std::unique_ptr<mp::Comm> comm;
+};
+
+// One progress() with nothing in flight: the cost every isend/irecv/test
+// pays before it does its own work.
+void BM_MpProgressIdle(benchmark::State& state) {
+  MpBox box(static_cast<std::uint32_t>(state.range(0)));
+  if (!ok(box.comm->init())) state.SkipWithError("comm init failed");
+  for (auto _ : state) box.comm->progress();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MpProgressIdle)->Arg(8)->Arg(32);
+
+// A matched 64 B eager message between two of eight ranks: irecv, isend and
+// both waits, each with its progress() pass.
+void BM_MpEagerSendRecv(benchmark::State& state) {
+  MpBox box(8);
+  if (!ok(box.comm->init())) state.SkipWithError("comm init failed");
+  for (auto _ : state) {
+    const mp::ReqId r = box.comm->irecv(1, 0, 0, 0, 4096);
+    const mp::ReqId s = box.comm->isend(0, 1, 0, 0, 64);
+    benchmark::DoNotOptimize(box.comm->wait(s));
+    benchmark::DoNotOptimize(box.comm->wait(r));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MpEagerSendRecv);
 
 void BM_PressureCycle(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,6 +1,9 @@
 // golden_test - byte oracle for the serial executor: every bundled spec, run
 // at a fixed smoke-scale override set, must reproduce pinned FNV-1a hashes
-// of its canonical report_json and its TIMELINE_<name>.json export.
+// of its canonical report_json and its TIMELINE_<name>.json export. The
+// mp-driven specs also pin their merged chrome trace: report totals cannot
+// show a virtual-time charge that moved between two spans, span timestamps
+// can.
 //
 // The determinism tests check that two runs agree with each other; this test
 // checks that a run agrees with the tree the hashes were captured from, so a
@@ -17,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/export.h"
 #include "obs/sampler.h"
 #include "scenario/engine.h"
 #include "scenario/spec.h"
@@ -111,6 +115,57 @@ TEST_P(ScenarioGolden, ReportAndTimelineMatchPinnedHashes) {
 INSTANTIATE_TEST_SUITE_P(
     BundledSpecs, ScenarioGolden, ::testing::ValuesIn(goldens()),
     [](const ::testing::TestParamInfo<Golden>& info) {
+      std::string name = info.param.spec;
+      for (char& c : name)
+        if (c == '-') c = '_';
+      return name;
+    });
+
+struct GoldenTrace {
+  const char* spec;
+  std::uint64_t trace;
+};
+
+void PrintTo(const GoldenTrace& g, std::ostream* os) { *os << g.spec; }
+
+class ScenarioGoldenTrace : public ::testing::TestWithParam<GoldenTrace> {};
+
+// The run `scenario_runner <spec> --timeline --trace-export` makes: spans on
+// every node, memory-pressure counter overlays, one merged chrome trace. The
+// hash is the FNV-1a of its TRACE_SCENARIO_<name>.json.
+TEST_P(ScenarioGoldenTrace, ChromeTraceMatchesPinnedHash) {
+  const GoldenTrace& g = GetParam();
+  ParseResult parsed =
+      load_spec_file(std::string(SCENARIO_SPEC_DIR) + "/" + g.spec + ".spec");
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  ASSERT_EQ(parsed.spec.validate(), "");
+
+  ScenarioEngine engine(parsed.spec);
+  ASSERT_TRUE(ok(engine.build()));
+  via::Cluster& cluster = engine.cluster();
+  for (std::size_t i = 0; i < cluster.size(); ++i)
+    cluster.node(static_cast<via::NodeId>(i)).kernel().spans().enable(true);
+  engine.enable_timeline();
+  engine.set_trace_metrics(
+      {"simkern.mem.pinned_frames", "simkern.mem.free_frames"});
+  ASSERT_TRUE(ok(engine.run()));
+  ASSERT_NE(engine.sampler(), nullptr);
+
+  std::vector<const obs::SpanRecorder*> recorders;
+  for (std::size_t i = 0; i < cluster.size(); ++i)
+    recorders.push_back(
+        &cluster.node(static_cast<via::NodeId>(i)).kernel().spans());
+  const std::string trace =
+      obs::chrome_trace(recorders, engine.sampler()->chrome_counter_events());
+  EXPECT_EQ(hex(fnv1a(trace)), hex(g.trace))
+      << "TRACE_SCENARIO_" << engine.spec().name << ".json";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MpSpecs, ScenarioGoldenTrace,
+    ::testing::Values(GoldenTrace{"e12-collectives", 0x70640f7b8a05c5ffULL},
+                      GoldenTrace{"ps-allreduce", 0xb056318a67b5c922ULL}),
+    [](const ::testing::TestParamInfo<GoldenTrace>& info) {
       std::string name = info.param.spec;
       for (char& c : name)
         if (c == '-') c = '_';
