@@ -109,6 +109,11 @@ class Nic {
   [[nodiscard]] KStatus post_recv_batch(ViId id, std::vector<Descriptor> descs);
   [[nodiscard]] std::optional<Descriptor> poll_send(ViId id);
   [[nodiscard]] std::optional<Descriptor> poll_recv(ViId id);
+  /// True when poll_recv(id) would return a completion. Host-side
+  /// inspection for consistency checks: no PCI read, no virtual time.
+  [[nodiscard]] bool recv_pending(ViId id) const {
+    return vi_exists(id) && !vi(id).recv_completed.empty();
+  }
 
   // --- completion queues (VipCreateCQ / VipCQDone) ------------------------------
   struct CqEntry {

@@ -36,6 +36,19 @@ TEST_F(NicTest, SendRecvMovesDataBetweenProcesses) {
   EXPECT_EQ(peek64(kern1(), p1, buf1), 0xFEEDFACE12345678ULL);
 }
 
+TEST_F(NicTest, RecvPendingInspectsWithoutChargingAPoll) {
+  Nic& nic1 = cluster->node(n1).nic();
+  EXPECT_FALSE(nic1.recv_pending(vi1));
+  EXPECT_FALSE(nic1.recv_pending(kInvalidVi));
+  ASSERT_TRUE(ok(v1->post_recv(vi1, mh1, buf1, 64)));
+  ASSERT_TRUE(ok(v0->post_send(vi0, mh0, buf0, 64)));
+  const Nanos before = cluster->clock().now();
+  EXPECT_TRUE(nic1.recv_pending(vi1));
+  EXPECT_EQ(cluster->clock().now(), before) << "no PCI read";
+  ASSERT_TRUE(v1->recv_done(vi1).has_value());
+  EXPECT_FALSE(nic1.recv_pending(vi1));
+}
+
 TEST_F(NicTest, SendWithoutRecvDescriptorBreaksReliableConnection) {
   ASSERT_TRUE(ok(v0->post_send(vi0, mh0, buf0, 64)));
   const auto sc = v0->send_done(vi0);
