@@ -52,15 +52,23 @@ int main(int argc, char** argv) {
   const bench::BenchFlags flags(argc, argv);
   Table table({"ranks", "barrier", "broadcast 64KB", "bcast msgs",
                "allreduce 2KB", "alltoall 8KB"});
+  scenario::ScenarioReport largest;
   for (const std::uint32_t ranks : {2u, 3u, 4u, 6u, 8u}) {
     const scenario::ScenarioReport r = measure(ranks);
     table.row({Table::num(std::uint64_t{ranks}), Table::nanos(r.barrier_ns),
                Table::nanos(r.broadcast_ns), Table::num(r.bcast_msgs),
                Table::nanos(r.allreduce_ns), Table::nanos(r.alltoall_ns)});
+    largest = r;
   }
   table.print();
   bench::JsonReport report("E12", "collective operations vs rank count");
   report.add_table("collectives", table);
+  // Scalars for the --compare regression gate: the 8-rank row, where the
+  // mp progress and matching costs weigh most.
+  report.metric("ranks8_barrier_ns", std::uint64_t{largest.barrier_ns})
+      .metric("ranks8_broadcast_ns", std::uint64_t{largest.broadcast_ns})
+      .metric("ranks8_allreduce_ns", std::uint64_t{largest.allreduce_ns})
+      .metric("ranks8_alltoall_ns", std::uint64_t{largest.alltoall_ns});
   report.write_if(flags);
   std::cout << "\nShape: broadcast ships N-1 messages over a binomial tree\n"
                "(log-depth); alltoall grows as N(N-1) blocks; barrier as\n"

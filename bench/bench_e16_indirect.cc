@@ -65,6 +65,7 @@ int main(int argc, char** argv) {
       {"2 hops 0->(1)->(2)->3", 4, {{0, 2}, {0, 3}, {1, 3}}, 3},
   };
   Table table({"route", "64 B", "1 KB", "4 KB", "forwards (incl. ACKs)"});
+  Nanos two_hops_64 = 0, two_hops_4k = 0;  // the 4-rank route, last row
   for (const auto& topo : topologies) {
     std::uint64_t forwards = 0;
     const Nanos t64 = measure(topo, 64, nullptr);
@@ -72,10 +73,15 @@ int main(int argc, char** argv) {
     const Nanos t4k = measure(topo, 4096, &forwards);
     table.row({topo.name, Table::nanos(t64), Table::nanos(t1k),
                Table::nanos(t4k), Table::num(forwards)});
+    two_hops_64 = t64;
+    two_hops_4k = t4k;
   }
   table.print();
   bench::JsonReport report("E16", "indirect communication cost");
   report.add_table("routes", table);
+  // Scalars for the --compare regression gate.
+  report.metric("two_hops_64b_ns", std::uint64_t{two_hops_64})
+      .metric("two_hops_4k_ns", std::uint64_t{two_hops_4k});
   report.write_if(flags);
   std::cout << "\nShape: each intermediate hop adds roughly one full wire +\n"
                "store-and-forward copy to the latency, and the ACK chain\n"
