@@ -84,8 +84,7 @@ struct Comm::Side {
     std::uint32_t next_slot = 0;  ///< round-robin send slot cursor
   };
   std::vector<Link> links;  ///< indexed by peer rank (self unused)
-  std::vector<Rank> vi_peers;  ///< peers linked by a VI, ascending
-  Bits ready_peers;            ///< peers whose link push_raw marked
+  Bits ready_peers;         ///< peers whose link push_raw marked
 
   // Unexpected-message arena: plain process memory, slot-granular.
   VAddr sys_scratch = 0;  ///< staging for system (routed) messages
@@ -156,7 +155,6 @@ KStatus Comm::init() {
     sides_.push_back(std::move(side));
   }
   ready_ranks_ = make_bits(nodes_.size());
-  vi_before_.assign(nodes_.size() + 1, 0);
 
   // One link per unordered rank pair: a shared-memory segment when both
   // ranks live on the same node (the multidevice "Connectiontable" routing),
@@ -265,9 +263,8 @@ KStatus Comm::ensure_link(Rank i, Rank j) {
       return st;
     }
     if (const KStatus st = s.vipl.create_vi(link.vi); !ok(st)) return st;
-    s.vi_peers.insert(std::ranges::upper_bound(s.vi_peers, peer), peer);
-    for (std::size_t k = r + 1; k < vi_before_.size(); ++k) ++vi_before_[k];
   }
+  has_vi_ = true;
   if (const KStatus st =
           cluster_.fabric().connect(nodes_[i], sides_[i]->links[j].vi,
                                     nodes_[j], sides_[j]->links[i].vi);
@@ -642,8 +639,7 @@ void Comm::process_arrival(Rank rank, const WireHeader& header,
   }
 }
 
-bool Comm::drain(Rank rank, std::uint64_t sweep_base,
-                 std::uint64_t& charged) {
+bool Comm::drain(Rank rank) {
   bool activity = false;
   Side& s = *sides_[rank];
   simkern::Kernel& kern = cluster_.node(nodes_[rank]).kernel();
@@ -651,7 +647,6 @@ bool Comm::drain(Rank rank, std::uint64_t sweep_base,
        peer = next_bit(s.ready_peers, peer + 1, size())) {
     clear_bit(s.ready_peers, peer);
     Side::Link& link = s.links[peer];
-    charge_skipped_polls(sweep_base + poll_position(rank, peer), charged);
 
     if (link.local) {
       // Poll the shared-memory flags of the incoming direction.
@@ -680,7 +675,6 @@ bool Comm::drain(Rank rank, std::uint64_t sweep_base,
     }
 
     if (link.vi == via::kInvalidVi) continue;
-    ++charged;  // this link charges its own polls
     for (;;) {
       const auto rc = s.vipl.recv_done(link.vi);
       if (!rc) break;
@@ -702,21 +696,6 @@ bool Comm::drain(Rank rank, std::uint64_t sweep_base,
     }
   }
   return activity;
-}
-
-std::uint64_t Comm::poll_position(Rank rank, Rank peer) const {
-  const auto& vi_peers = sides_[rank]->vi_peers;
-  return vi_before_[rank] + static_cast<std::uint64_t>(
-                                std::ranges::lower_bound(vi_peers, peer) -
-                                vi_peers.begin());
-}
-
-void Comm::charge_skipped_polls(std::uint64_t position,
-                                std::uint64_t& charged) {
-  if (position <= charged) return;
-  cluster_.clock().advance((position - charged) *
-                           cluster_.costs().pci_reg_read);
-  charged = position;
 }
 
 bool Comm::unmarked_links_empty() const {
@@ -791,29 +770,26 @@ KStatus Comm::deliver_local_pull(Rank rank, const WireHeader& req,
 }
 
 void Comm::progress() {
+  // One completion-queue poll (one PCI read) names every VI with a
+  // completion; the ready set is that answer, so only marked links are
+  // drained, each paying for its own recv_done polls. A communicator
+  // without a VI link has no queue to poll. Shared-memory flags are read
+  // per arrival in drain().
+  if (has_vi_) cluster_.clock().advance(cluster_.costs().pci_reg_read);
   // A sweep visits the ready ranks, and within each its ready peers, in
-  // ascending order - the order of a full sweep over every link. A rank
-  // marked later in the sweep is still visited in it. Each live VI link the
-  // sweep skips would have made one empty poll (one PCI read); those reads
-  // are charged in one clock advance before the next link that uses the
-  // clock, and at the end. The cluster shares one additive clock and one
-  // cost model, so time and span timestamps match the full sweep exactly.
-  const std::uint64_t polls_per_sweep = vi_before_.back();
-  std::uint64_t charged = 0;
-  // Routed (multi-hop) messages generate new traffic while draining, so
+  // ascending order; a rank marked later in the sweep is still visited in
+  // it. Routed (multi-hop) messages generate new traffic while draining, so
   // sweep until the whole system is quiescent (bounded defensively).
   bool again = true;
-  std::uint64_t sweep = 0;
-  for (; again && sweep < 64; ++sweep) {
+  for (int sweep = 0; again && sweep < 64; ++sweep) {
     assert(unmarked_links_empty());
     again = false;
     for (Rank r = next_bit(ready_ranks_, 0, size()); r < size();
          r = next_bit(ready_ranks_, r + 1, size())) {
       clear_bit(ready_ranks_, r);
-      again |= drain(r, sweep * polls_per_sweep, charged);
+      again |= drain(r);
     }
   }
-  charge_skipped_polls(sweep * polls_per_sweep, charged);
   assert(unmarked_links_empty());
 }
 

@@ -156,10 +156,9 @@ class Comm {
   [[nodiscard]] bool iprobe(Rank rank, std::int32_t source, std::int32_t tag,
                             MpStatus* status = nullptr);
 
-  /// Drain NIC completions into the matching engines of every rank. Only
-  /// links that received traffic are polled; every skipped live VI link
-  /// still costs its empty poll's PCI read, so virtual time is that of a
-  /// full sweep over every link.
+  /// Drain NIC completions into the matching engines of every rank. One
+  /// call costs one completion-queue poll (one PCI read, nothing when no VI
+  /// link exists yet) plus the receive polls of the links that got traffic.
   void progress();
 
   [[nodiscard]] const CommStats& stats() const { return stats_; }
@@ -238,17 +237,7 @@ class Comm {
   [[nodiscard]] ReqId isend_indirect(Rank rank, Rank dest, std::int32_t tag,
                                      std::uint64_t offset, std::uint32_t len);
   /// Drain `rank`'s ready links; true if anything was processed.
-  /// `sweep_base` is the number of VI polls a full sweep makes before this
-  /// sweep; `charged` counts the polls already on the clock (both run in
-  /// full-sweep order).
-  [[nodiscard]] bool drain(Rank rank, std::uint64_t sweep_base,
-                           std::uint64_t& charged);
-  /// Position of link (rank, peer) in a full sweep's poll order: the number
-  /// of live VI links polled before it.
-  [[nodiscard]] std::uint64_t poll_position(Rank rank, Rank peer) const;
-  /// Charge the empty polls of the skipped VI links before `position` as
-  /// one clock advance.
-  void charge_skipped_polls(std::uint64_t position, std::uint64_t& charged);
+  [[nodiscard]] bool drain(Rank rank);
   /// Consistency check (assert builds): every link push_raw has not marked
   /// since its last drain has nothing to receive.
   [[nodiscard]] bool unmarked_links_empty() const;
@@ -280,9 +269,7 @@ class Comm {
   /// Ready set: bit r is set when rank r has a marked link; each Side
   /// holds the bits of its marked peers.
   std::vector<std::uint64_t> ready_ranks_;
-  /// vi_before_[r]: live VI links of ranks below r (full-sweep prefix);
-  /// vi_before_[size()] is the number of polls in a full sweep.
-  std::vector<std::uint64_t> vi_before_{0};  ///< {0} until init() sizes it
+  bool has_vi_ = false;  ///< a VI link exists: progress() polls the CQ
   /// next_hop_[from][to]: first hop on the route (== to when direct).
   std::vector<std::vector<Rank>> next_hop_;
   ReqId next_req_ = 1;

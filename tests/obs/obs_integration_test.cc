@@ -160,7 +160,7 @@ TEST(ObsIntegration, ProcNodesMatchPinnedHashes) {
 
   const std::map<std::string, std::uint64_t> pinned = {
       {"n0:meminfo", 0x06835d9a666a9c0bULL},
-      {"n0:metrics", 0x9cb550327505f090ULL},
+      {"n0:metrics", 0xb78452e689494bf8ULL},
       {"n0:pinmgr", 0x7a0b5917d63b1988ULL},
       {"n0:regcache/p1", 0x303ce3f18af74fa1ULL},
       {"n0:regcache/p2", 0xeee7c78039feef95ULL},
