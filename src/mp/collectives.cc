@@ -166,4 +166,37 @@ KStatus gather(Comm& comm, Rank root, std::uint64_t offset,
   return KStatus::Ok;
 }
 
+KStatus alltoall(Comm& comm, std::uint64_t offset, std::uint32_t block) {
+  const CollectiveScope scope(comm, "alltoall");
+  const Rank n = comm.size();
+  const auto at = [&](std::uint64_t base, Rank i) {
+    return base + static_cast<std::uint64_t>(i) * block;
+  };
+  const std::uint64_t inbox = at(offset, n);
+  // Pairwise rounds: in round k every rank ships its block for r + k.
+  // Sends read the data region and land in the inbox, so no block is
+  // overwritten before its owner has shipped it.
+  for (Rank k = 1; k < n; ++k) {
+    for (Rank r = 0; r < n; ++r) {
+      const Rank to = (r + k) % n;
+      if (const KStatus st = exchange(comm, r, to, kAlltoallTag, at(offset, to),
+                                      at(inbox, r), block);
+          !ok(st)) {
+        return st;
+      }
+    }
+  }
+  // Settle: rank j's inbox becomes its data region, except block j, which
+  // never left.
+  std::vector<std::byte> buf(static_cast<std::size_t>(n) * block);
+  for (Rank j = 0; j < n; ++j) {
+    const auto own = std::span{buf}.subspan(std::size_t{j} * block, block);
+    if (const KStatus st = comm.fetch(j, inbox, buf); !ok(st)) return st;
+    if (const KStatus st = comm.fetch(j, at(offset, j), own); !ok(st))
+      return st;
+    if (const KStatus st = comm.stage(j, offset, buf); !ok(st)) return st;
+  }
+  return KStatus::Ok;
+}
+
 }  // namespace vialock::mp

@@ -1,11 +1,13 @@
 // collectives.h - collective operations over the matching layer.
 //
-// Unlike msg::Mesh (which drives channels directly), these are built the way
-// real MPI implementations layer them: "a mapping of the collective
-// operations, like Barrier or Broadcast, to point-to-point communication"
-// (the multidevice paper's device-independent layer). They therefore work
-// transparently across the multidevice routing - ranks on one node
-// synchronise through shared memory, ranks apart through the fabric.
+// Built the way real MPI implementations layer them: "a mapping of the
+// collective operations, like Barrier or Broadcast, to point-to-point
+// communication" (the multidevice paper's device-independent layer). They
+// therefore work transparently across the multidevice routing - ranks on
+// one node synchronise through shared memory, ranks apart through the
+// fabric. The simulation is synchronous, so the exchanges of a collective
+// run one after another against the shared virtual clock; reported times
+// are upper bounds (no overlap between peers within a round).
 //
 // Internal traffic uses reserved negative tags (user tags must be >= 0, as
 // in MPI), so collectives never collide with application point-to-point.
@@ -22,6 +24,7 @@ inline constexpr std::int32_t kBarrierTag = -100;
 inline constexpr std::int32_t kBcastTag = -101;
 inline constexpr std::int32_t kReduceTag = -102;
 inline constexpr std::int32_t kGatherTag = -103;
+inline constexpr std::int32_t kAlltoallTag = -104;
 
 /// Dissemination barrier: ceil(log2 N) rounds of token exchanges.
 /// `scratch_offset` names 16 bytes of per-rank heap used for the tokens.
@@ -47,5 +50,12 @@ inline constexpr std::int32_t kGatherTag = -103;
 /// `offset + rank*block`.
 [[nodiscard]] KStatus gather(Comm& comm, Rank root, std::uint64_t offset,
                              std::uint32_t block);
+
+/// All-to-all: each rank holds N blocks of `block` bytes at `offset`; block
+/// j of rank i ends up as block i of rank j. Blocks travel into an inbox of
+/// N blocks right after the data (so `2 * N * block` heap bytes), then each
+/// rank settles its inbox into place.
+[[nodiscard]] KStatus alltoall(Comm& comm, std::uint64_t offset,
+                               std::uint32_t block);
 
 }  // namespace vialock::mp

@@ -119,7 +119,8 @@ class Channel {
     std::uint64_t user_heap_bytes = 8ULL << 20;  ///< per-process message heap
     bool preregister_heaps = false;  ///< enable the Preregistered protocol
     /// Existing processes to attach to (kInvalidPid: create fresh tasks).
-    /// Lets several channels share one process per node (Mesh does this).
+    /// Lets several channels share one process per node (the scenario
+    /// engine attaches its channels to tenant tasks this way).
     simkern::Pid sender_pid = simkern::kInvalidPid;
     simkern::Pid receiver_pid = simkern::kInvalidPid;
     Reliability reliability;

@@ -296,9 +296,6 @@ std::string ScenarioSpec::apply(std::string_view key, std::string_view value) {
     if (!parse_bytes32(value, alltoall_block)) return bad("alltoall_block");
   } else if (key == "channel_heap_bytes") {
     if (!parse_bytes(value, channel_heap_bytes)) return bad("channel_heap_bytes");
-  } else if (key == "mesh_eager_channels") {
-    if (!parse_bool(value, mesh_eager_channels))
-      return bad("mesh_eager_channels");
   } else if (key == "churn_regs_per_tenant") {
     if (!parse_u32(value, churn_regs_per_tenant))
       return bad("churn_regs_per_tenant");
@@ -395,6 +392,11 @@ std::string ScenarioSpec::validate() const {
     if (churn_abandon_fraction < 0.0 || churn_abandon_fraction > 1.0)
       return "churn_abandon_fraction must be in [0, 1]";
   }
+  if (reliable && (pattern == Pattern::PsAllreduce ||
+                   pattern == Pattern::Collectives ||
+                   pattern == Pattern::KvService))
+    return "reliable needs a channel pattern (rpc-fanout, skewed-kv, "
+           "pipeline)";
   if (guaranteed_fraction < 0.0 || guaranteed_fraction > 1.0)
     return "guaranteed_fraction must be in [0, 1]";
   if (put_fraction < 0.0 || put_fraction > 1.0)

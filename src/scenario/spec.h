@@ -43,7 +43,7 @@ enum class Pattern : std::uint8_t {
   SkewedKv,     ///< GET/PUT to key-addressed servers, Zipf-skewed keys
   PsAllreduce,  ///< workers push shards to a parameter server (mp::Comm)
   Pipeline,     ///< records stream host 0 -> 1 -> ... -> N-1
-  Collectives,  ///< msg::Mesh barrier/broadcast/allreduce/alltoall rounds
+  Collectives,  ///< mp::Comm barrier/broadcast/allreduce/alltoall rounds
   KvService,    ///< svc::KvServer/KvClient tier: pipelined, governed, zero-copy
 };
 
@@ -128,7 +128,6 @@ struct ScenarioSpec {
   std::uint32_t allreduce_count = 256;      ///< u64 elements
   std::uint32_t alltoall_block = 8 * 1024;  ///< per-peer block
   std::uint64_t channel_heap_bytes = 256 * 1024;  ///< per-channel user heap
-  bool mesh_eager_channels = false;  ///< pre-build the all-pairs mesh (E12)
 
   // --- registration churn -------------------------------------------------------
   std::uint32_t churn_regs_per_tenant = 0;  ///< registrations issued per tenant
@@ -136,7 +135,9 @@ struct ScenarioSpec {
   std::uint32_t churn_hold = 4;             ///< live registrations held
 
   // --- transport ---------------------------------------------------------------
-  bool reliable = false;  ///< run channels in reliable-delivery mode
+  /// Run msg::Channels in reliable-delivery mode; validate() rejects it for
+  /// the patterns that use no channel (ps-allreduce, collectives, kv-server).
+  bool reliable = false;
 
   // --- fault schedule -----------------------------------------------------------
   /// Parsed from `fault = <site> <action> [p=..] [after=..] [max=..]

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "../via/via_util.h"
+#include "util/rng.h"
 
 namespace vialock::mp {
 namespace {
@@ -38,16 +39,34 @@ TEST(Collectives, UserTagsMayNotBeNegative) {
   EXPECT_NE(box.comm->irecv(1, 0, kAnyTag, 0, 8), kInvalidReq);
 }
 
+std::vector<std::byte> pattern(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::byte> out(n);
+  for (auto& b : out) b = static_cast<std::byte>(rng.next() & 0xFF);
+  return out;
+}
+
 TEST(Collectives, BroadcastAcrossFourRanks) {
   CollBox box({0, 0, 1, 1});  // mixed shm + fabric
-  const std::uint64_t v = 0xB0CA57;
-  ASSERT_TRUE(ok(box.comm->stage(2, 0, test::bytes_of(v))));
-  ASSERT_TRUE(ok(broadcast(*box.comm, /*root=*/2, 0, 8)));
-  for (Rank r = 0; r < 4; ++r) {
-    std::uint64_t got = 0;
-    ASSERT_TRUE(ok(box.comm->fetch(
-        r, 0, std::as_writable_bytes(std::span{&got, 1}))));
-    EXPECT_EQ(got, v) << "rank " << r;
+  const CommStats& cs = box.comm->stats();
+  // Every root, eager-sized; then one payload above the eager threshold,
+  // which must travel rendezvous. The binomial tree sends N-1 messages.
+  for (const std::uint32_t len : {512u, 100'000u}) {
+    for (Rank root = 0; root < 4; ++root) {
+      const auto payload = pattern(len, 100 + root);
+      ASSERT_TRUE(ok(box.comm->stage(root, 0, payload)));
+      const std::uint64_t eager = cs.eager_sends;
+      const std::uint64_t rndz = cs.rendezvous_sends;
+      ASSERT_TRUE(ok(broadcast(*box.comm, root, 0, len)));
+      const bool large = len > Comm::Config{}.eager_threshold;
+      EXPECT_EQ(cs.eager_sends - eager, large ? 0u : 3u) << "root " << root;
+      EXPECT_EQ(cs.rendezvous_sends - rndz, large ? 3u : 0u) << "root " << root;
+      for (Rank r = 0; r < 4; ++r) {
+        std::vector<std::byte> out(len);
+        ASSERT_TRUE(ok(box.comm->fetch(r, 0, out)));
+        EXPECT_EQ(out, payload) << "root " << root << " rank " << r;
+      }
+    }
   }
 }
 
@@ -71,19 +90,29 @@ TEST(Collectives, ReduceSumToArbitraryRoot) {
 }
 
 TEST(Collectives, AllreduceAgreesEverywhere) {
-  CollBox box({0, 0, 1, 1, 1});  // five ranks, non-power-of-two
-  std::uint64_t expect = 0;
-  for (Rank r = 0; r < 5; ++r) {
-    const std::uint64_t v = 1ULL << r;
-    expect += v;
-    ASSERT_TRUE(ok(box.comm->stage(r, 0, test::bytes_of(v))));
-  }
-  ASSERT_TRUE(ok(allreduce_sum(*box.comm, 0, 1, 4096)));
-  for (Rank r = 0; r < 5; ++r) {
-    std::uint64_t got = 0;
-    ASSERT_TRUE(ok(box.comm->fetch(
-        r, 0, std::as_writable_bytes(std::span{&got, 1}))));
-    EXPECT_EQ(got, expect) << "rank " << r;
+  // Non-power-of-two rank counts: five ranks on shm + fabric, three on
+  // the fabric only.
+  for (const std::vector<int>& layout :
+       {std::vector<int>{0, 0, 1, 1, 1}, std::vector<int>{0, 1, 2}}) {
+    CollBox box(layout);
+    const auto n = static_cast<Rank>(layout.size());
+    constexpr std::uint32_t kCount = 16;
+    std::array<std::uint64_t, kCount> expect{};
+    for (Rank r = 0; r < n; ++r) {
+      std::array<std::uint64_t, kCount> vals;
+      for (std::uint32_t i = 0; i < kCount; ++i) {
+        vals[i] = (1ULL << r) * 1000 + i;
+        expect[i] += vals[i];
+      }
+      ASSERT_TRUE(ok(box.comm->stage(r, 0, std::as_bytes(std::span{vals}))));
+    }
+    ASSERT_TRUE(ok(allreduce_sum(*box.comm, 0, kCount, 4096)));
+    for (Rank r = 0; r < n; ++r) {
+      std::array<std::uint64_t, kCount> got{};
+      ASSERT_TRUE(
+          ok(box.comm->fetch(r, 0, std::as_writable_bytes(std::span{got}))));
+      EXPECT_EQ(got, expect) << n << " ranks, rank " << r;
+    }
   }
 }
 
@@ -101,6 +130,36 @@ TEST(Collectives, GatherAssemblesBlocksAtRoot) {
         0, static_cast<std::uint64_t>(r) * kBlock,
         std::as_writable_bytes(std::span{&got, 1}))));
     EXPECT_EQ(got, 0x6A77E2u + r) << "block " << r;
+  }
+}
+
+TEST(Collectives, AlltoallTransposesBlocks) {
+  // Block j of rank i becomes block i of rank j: two ranks over the
+  // fabric, three over shm + fabric.
+  constexpr std::uint32_t kBlock = 4096;
+  for (const std::vector<int>& layout :
+       {std::vector<int>{0, 1}, std::vector<int>{0, 1, 1}}) {
+    CollBox box(layout);
+    const auto n = static_cast<Rank>(layout.size());
+    const auto block_at = [&](Rank b) {
+      return static_cast<std::uint64_t>(b) * kBlock;
+    };
+    for (Rank i = 0; i < n; ++i) {
+      for (Rank j = 0; j < n; ++j) {
+        const std::uint64_t v = 0xAA00 + i * 16 + j;
+        ASSERT_TRUE(ok(box.comm->stage(i, block_at(j), test::bytes_of(v))));
+      }
+    }
+    ASSERT_TRUE(ok(alltoall(*box.comm, 0, kBlock)));
+    for (Rank j = 0; j < n; ++j) {
+      for (Rank i = 0; i < n; ++i) {
+        std::uint64_t got = 0;
+        ASSERT_TRUE(ok(box.comm->fetch(
+            j, block_at(i), std::as_writable_bytes(std::span{&got, 1}))));
+        EXPECT_EQ(got, 0xAA00u + i * 16 + j) << n << " ranks, " << i << "->"
+                                             << j;
+      }
+    }
   }
 }
 

@@ -67,13 +67,26 @@ TEST(ScenarioEngine, PsAllreduceFoldsEveryRound) {
 TEST(ScenarioEngine, CollectivesReportsE12Scalars) {
   const ScenarioReport r = run_spec(
       "name = t\npattern = collectives\nhosts = 4\nrounds = 1\n"
-      "governor = off\nmesh_eager_channels = on\nhost_frames = 2048\n"
+      "governor = off\nhost_frames = 2048\n"
       "host_swap_slots = 16384\ntpt_entries = 8192\n");
   EXPECT_GT(r.barrier_ns, 0u);
   EXPECT_GT(r.broadcast_ns, 0u);
   EXPECT_EQ(r.bcast_msgs, 3u);  // binomial tree: N-1 messages
   EXPECT_GT(r.allreduce_ns, 0u);
   EXPECT_GT(r.alltoall_ns, 0u);
+  EXPECT_TRUE(r.invariants_ok) << (r.violations.empty() ? "" : r.violations[0]);
+}
+
+TEST(ScenarioEngine, CollectivesMakespanCoversEveryRound) {
+  // Only host 0 is charged and the rounds run back to back, so the run
+  // cannot end before host 0's busy time has elapsed - the last round
+  // included.
+  const ScenarioReport r = run_spec(
+      "name = t\npattern = collectives\nhosts = 4\nrounds = 3\n"
+      "governor = off\nhost_frames = 2048\n");
+  EXPECT_EQ(r.counters.transfers_ok, 3u * 4u);
+  EXPECT_GT(r.busy_ns, 0u);
+  EXPECT_GE(r.makespan_ns, r.busy_ns);
   EXPECT_TRUE(r.invariants_ok) << (r.violations.empty() ? "" : r.violations[0]);
 }
 

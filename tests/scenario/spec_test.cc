@@ -101,6 +101,21 @@ TEST(ScenarioSpec, ValidateCatchesInconsistency) {
   EXPECT_NE(spec.validate().find("threads"), std::string::npos);
 }
 
+TEST(ScenarioSpec, ReliableNeedsAChannelPattern) {
+  // Only msg::Channel has a reliable-delivery mode; the mp and svc patterns
+  // would silently run unreliable, so the key is refused there.
+  for (const char* pattern : {"ps-allreduce", "collectives", "kv-server"}) {
+    const auto result = parse_spec(std::string("name = s\npattern = ") +
+                                   pattern + "\nhosts = 6\nreliable = on\n");
+    EXPECT_NE(result.error.find("reliable"), std::string::npos) << pattern;
+  }
+  for (const char* pattern : {"rpc-fanout", "skewed-kv", "pipeline"}) {
+    const auto result = parse_spec(std::string("name = s\npattern = ") +
+                                   pattern + "\nhosts = 6\nreliable = on\n");
+    EXPECT_TRUE(result.ok()) << pattern << ": " << result.error;
+  }
+}
+
 TEST(ScenarioSpec, OverridesAfterParse) {
   auto result = parse_spec("name = s\npattern = pipeline\nhosts = 4\n");
   ASSERT_TRUE(result.ok());
