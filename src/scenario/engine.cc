@@ -11,6 +11,8 @@
 
 namespace vialock::scenario {
 
+using simkern::page_align_up;
+
 namespace {
 
 constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
@@ -25,10 +27,6 @@ constexpr std::uint64_t kAlltoallOffset = 128 * 1024;
 std::uint64_t actor_seed(std::uint64_t seed, std::uint64_t uid) {
   SplitMix64 sm(seed ^ (kGolden * (uid + 1)));
   return sm.next();
-}
-
-std::uint64_t page_round(std::uint64_t bytes) {
-  return (bytes + simkern::kPageMask) & ~simkern::kPageMask;
 }
 
 /// Payload with a recognisable 8-byte marker up front (little-endian) and a
@@ -138,7 +136,7 @@ KStatus ScenarioEngine::build_tenants() {
         ten.vipl = std::make_unique<via::Vipl>(node.agent(), ten.pid);
         if (const KStatus st = ten.vipl->open(); !ok(st)) return st;
         const std::uint64_t slab =
-            page_round(spec_.churn_bytes) * spec_.churn_hold;
+            page_align_up(spec_.churn_bytes) * spec_.churn_hold;
         const auto addr = node.kernel().sys_mmap_anon(
             ten.pid, slab, simkern::VmFlag::Read | simkern::VmFlag::Write);
         if (!addr) return KStatus::NoMem;
@@ -163,8 +161,8 @@ KStatus ScenarioEngine::build_transports() {
           spec_.pattern == Pattern::PsAllreduce
               ? std::max<std::uint64_t>(
                     256 * 1024,
-                    (spec_.hosts + 2ULL) * page_round(spec_.shard_bytes))
-              : page_round(std::max<std::uint64_t>(
+                    (spec_.hosts + 2ULL) * page_align_up(spec_.shard_bytes))
+              : page_align_up(std::max<std::uint64_t>(
                     {spec_.payload_bytes, 16ULL * spec_.allreduce_count,
                      kAlltoallOffset +
                          2ULL * spec_.hosts * spec_.alltoall_block}));
@@ -529,7 +527,7 @@ void ScenarioEngine::run_kv_op(std::size_t actor) {
 void ScenarioEngine::run_pipeline_emit(std::size_t actor) {
   ClientActor& a = clients_[actor];
   const Nanos issued = sched_->now();
-  const std::uint64_t record = page_round(spec_.record_bytes);
+  const std::uint64_t record = page_align_up(spec_.record_bytes);
   const std::uint64_t slots = std::max<std::uint64_t>(
       1, std::min<std::uint64_t>(64, spec_.channel_heap_bytes / record));
   // Backpressure: at most `slots` records in flight end to end. With that
@@ -618,7 +616,7 @@ void ScenarioEngine::run_ps_begin_round() {
   const Nanos issued = sched_->now();
   const VirtualStopwatch sw(cluster_->clock());
   const std::uint32_t workers = spec_.hosts - 1;
-  const std::uint64_t region = page_round(spec_.shard_bytes);
+  const std::uint64_t region = page_align_up(spec_.shard_bytes);
 
   ps_recv_reqs_.assign(workers, mp::kInvalidReq);
   for (std::uint32_t w = 1; w <= workers; ++w)
@@ -669,7 +667,7 @@ void ScenarioEngine::run_ps_arrival(std::uint32_t worker) {
   const Nanos issued = sched_->now();
   const VirtualStopwatch sw(cluster_->clock());
   const std::uint32_t workers = spec_.hosts - 1;
-  const std::uint64_t region = page_round(spec_.shard_bytes);
+  const std::uint64_t region = page_align_up(spec_.shard_bytes);
   const std::uint32_t count = spec_.shard_bytes / 8;
 
   if (ps_recv_reqs_[worker - 1] != mp::kInvalidReq)
@@ -946,7 +944,7 @@ void ScenarioEngine::run_churn_op(std::size_t actor) {
   const Nanos issued = sched_->now();
   const VirtualStopwatch sw(cluster_->clock());
 
-  const std::uint64_t slab_slot = page_round(spec_.churn_bytes);
+  const std::uint64_t slab_slot = page_align_up(spec_.churn_bytes);
   if (c.held.size() >= spec_.churn_hold) {
     if (ok(t.vipl->deregister_mem(c.held.front())))
       ++counters_.deregistrations;

@@ -1,7 +1,6 @@
 #include "svc/kv_client.h"
 
 #include <array>
-#include <cassert>
 
 #include "fault/fault.h"
 #include "msg/wire.h"
@@ -10,37 +9,19 @@
 namespace vialock::svc {
 
 using simkern::VAddr;
-using via::MemHandle;
-
-namespace {
-
-[[nodiscard]] constexpr std::uint64_t cookie_of(std::uint32_t gen,
-                                                std::uint32_t slot) {
-  return (static_cast<std::uint64_t>(gen & 0x7FFFFFFFu) << 32) | slot;
-}
-
-[[nodiscard]] constexpr bool gen_matches(std::uint64_t cookie,
-                                         std::uint32_t gen) {
-  return (cookie >> 32) == (gen & 0x7FFFFFFFu);
-}
-
-[[nodiscard]] constexpr std::uint64_t page_round(std::uint64_t bytes) {
-  return (bytes + simkern::kPageSize - 1) & ~simkern::kPageMask;
-}
-
-}  // namespace
 
 KvClient::KvClient(via::Cluster& cluster, via::NodeId node,
                    std::string task_name, KvClientConfig config)
-    : cluster_(cluster),
-      node_(cluster.node(node)),
+    : node_(cluster.node(node)),
       node_id_(node),
       task_name_(std::move(task_name)),
-      config_(config) {}
+      config_(config),
+      conns_(cluster, node, config.slot_size, config.window,
+             config.value_window_bytes) {}
 
 KvClient::~KvClient() {
-  for (Conn& c : conns_) {
-    if (c.open) teardown_conn(c);
+  for (std::uint32_t id = 0; id < conns_.all().size(); ++id) {
+    if (conns_.is_open(id)) teardown_conn(id);
   }
   if (pid_ != simkern::kInvalidPid) node_.agent().release_tenant(pid_);
 }
@@ -52,8 +33,8 @@ KStatus KvClient::open() {
   pid_ = node_.kernel().create_task(task_name_);
   vipl_ = std::make_unique<via::Vipl>(node_.agent(), pid_);
   if (const KStatus st = vipl_->open(); !ok(st)) return st;
-  recv_cq_ = node_.nic().create_cq();
-  send_cq_ = node_.nic().create_cq();
+  (void)conns_.add_pool(*vipl_);
+  conns_.create_cqs();
   return KStatus::Ok;
 }
 
@@ -63,166 +44,49 @@ KStatus KvClient::connect(KvServer& server, std::uint32_t tenant,
   if (!vipl_) return KStatus::Proto;
   if (config_.window > server.config().recv_credits) return KStatus::Inval;
 
-  via::ViId vi = via::kInvalidVi;
-  bool fresh_vi = false;
-  if (!free_vis_.empty()) {
-    vi = free_vis_.back();
-    free_vis_.pop_back();
-  } else {
-    if (const KStatus st = vipl_->create_vi(vi); !ok(st)) return st;
-    fresh_vi = true;
-  }
-
-  VAddr rings = 0;
-  if (!free_rings_.empty()) {
-    rings = free_rings_.back();
-    free_rings_.pop_back();
-  } else {
-    const auto a = node_.kernel().sys_mmap_anon(
-        pid_, page_round(ring_bytes()),
-        simkern::VmFlag::Read | simkern::VmFlag::Write);
-    if (!a) {
-      free_vis_.push_back(vi);
-      return KStatus::NoMem;
-    }
-    rings = *a;
-  }
-  VAddr window = 0;
-  if (!free_windows_.empty()) {
-    window = free_windows_.back();
-    free_windows_.pop_back();
-  } else {
-    const auto a = node_.kernel().sys_mmap_anon(
-        pid_, page_round(window_bytes()),
-        simkern::VmFlag::Read | simkern::VmFlag::Write);
-    if (!a) {
-      free_vis_.push_back(vi);
-      free_rings_.push_back(rings);
-      return KStatus::NoMem;
-    }
-    window = *a;
-  }
-
-  const auto recycle = [&](const char*) {
-    free_vis_.push_back(vi);
-    free_rings_.push_back(rings);
-    free_windows_.push_back(window);
-  };
-
-  MemHandle rings_mh;
-  if (const KStatus st = vipl_->register_mem(
-          rings, ring_bytes(), rings_mh,
-          via::KernelAgent::RegisterOptions::send_recv_only());
-      !ok(st)) {
-    recycle("rings");
-    return st;
-  }
-  // The value window takes inbound RDMA writes (GET) and outbound reads
-  // (PUT) - fully RDMA-enabled, the "communicated out of band" region.
-  MemHandle window_mh;
-  if (const KStatus st = vipl_->register_mem(window, window_bytes(), window_mh);
-      !ok(st)) {
-    (void)vipl_->deregister_mem(rings_mh);
-    recycle("window");
-    return st;
-  }
-
-  if (fresh_vi) {
-    if (!ok(vipl_->attach_recv_cq(vi, recv_cq_)) ||
-        !ok(vipl_->attach_send_cq(vi, send_cq_))) {
-      (void)vipl_->deregister_mem(rings_mh);
-      (void)vipl_->deregister_mem(window_mh);
-      recycle("cq");
-      return KStatus::Inval;
-    }
-  }
-
-  std::uint32_t id;
-  if (!free_conns_.empty()) {
-    id = free_conns_.back();
-    free_conns_.pop_back();
-  } else {
-    id = static_cast<std::uint32_t>(conns_.size());
-    conns_.emplace_back();
-  }
+  Link link;
+  if (const KStatus st = conns_.acquire(0, link); !ok(st)) return st;
+  if (const KStatus st = conns_.register_link(link); !ok(st)) return st;
+  const std::uint32_t id = conns_.open(link);
   Conn& c = conns_[id];
-  c = Conn{};
-  c.gen = next_gen_++;
-  c.vi = vi;
-  c.rings = rings;
-  c.rings_mh = rings_mh;
-  c.window = window;
-  c.window_mh = window_mh;
   c.slot_busy.assign(config_.window, false);
-
-  // Post the response receives before the server can reply - the whole
-  // window armed with one gather-list doorbell.
-  {
-    std::vector<via::Vipl::RecvPost> posts;
-    posts.reserve(config_.window);
-    for (std::uint32_t i = 0; i < config_.window; ++i) {
-      posts.push_back(
-          {c.rings_mh, rsp_slot(c, i), config_.slot_size, cookie_of(c.gen, i)});
-    }
-    (void)vipl_->post_recv_batch(c.vi, posts);
-  }
+  // Post the response receives before the server can reply.
+  conns_.arm(c, conns_.response_slot(c, 0));
 
   std::uint32_t server_conn = 0;
-  if (const KStatus st = server.accept(tenant, node_id_, vi, server_conn);
+  if (const KStatus st = server.accept(tenant, node_id_, c.vi, server_conn);
       !ok(st)) {
     // Shed or rejected: take the posted recvs back and recycle everything.
-    node_.nic().vi(vi).recv_queue.clear();
-    (void)vipl_->deregister_mem(rings_mh);
-    (void)vipl_->deregister_mem(window_mh);
-    recycle("accept");
-    c = Conn{};
-    free_conns_.push_back(id);
+    conns_.close(id);
     return st;
   }
-  c.open = true;
   c.server_conn = server_conn;
-  vi_to_conn_[vi] = id;
   ++stats_.conns_opened;
-  ++open_conns_;
   conn_out = id;
   return KStatus::Ok;
 }
 
-void KvClient::teardown_conn(Conn& c) {
-  via::Vi& v = node_.nic().vi(c.vi);
-  if (v.connected()) (void)cluster_.fabric().disconnect(node_id_, c.vi);
-  v.recv_queue.clear();
-  v.send_completed.clear();
-  v.recv_completed.clear();
-  (void)vipl_->deregister_mem(c.rings_mh);
-  (void)vipl_->deregister_mem(c.window_mh);
-  stats_.requests_lost += c.pending.size();
-  vi_to_conn_.erase(c.vi);
-  free_vis_.push_back(c.vi);
-  free_rings_.push_back(c.rings);
-  free_windows_.push_back(c.window);
-  free_conns_.push_back(static_cast<std::uint32_t>(&c - conns_.data()));
-  c.open = false;
-  --open_conns_;
+void KvClient::teardown_conn(std::uint32_t conn) {
+  stats_.requests_lost += conns_[conn].pending.size();
+  conns_.close(conn);
 }
 
 KStatus KvClient::close(std::uint32_t conn) {
-  if (conn >= conns_.size() || !conns_[conn].open) return KStatus::Inval;
-  teardown_conn(conns_[conn]);
+  if (!conns_.is_open(conn)) return KStatus::Inval;
+  teardown_conn(conn);
   ++stats_.conns_closed;
   return KStatus::Ok;
 }
 
 KStatus KvClient::abandon(std::uint32_t conn) {
-  if (conn >= conns_.size() || !conns_[conn].open) return KStatus::Inval;
-  teardown_conn(conns_[conn]);
+  if (!conns_.is_open(conn)) return KStatus::Inval;
+  teardown_conn(conn);
   ++stats_.conns_abandoned;
   return KStatus::Ok;
 }
 
 bool KvClient::can_issue(std::uint32_t conn) const {
-  return conn < conns_.size() && conns_[conn].open &&
-         conns_[conn].inflight < config_.window;
+  return conns_.is_open(conn) && conns_.at(conn).inflight < config_.window;
 }
 
 std::uint32_t KvClient::free_slot(const Conn& c) const {
@@ -242,12 +106,12 @@ KStatus KvClient::stage(std::uint32_t conn, KvRequest req,
   req.req_id = next_req_id_++;
   if (req.rendezvous) {
     req.window = c.window_mh;
-    req.window_addr = win_slot(c, slot);
+    req.window_addr = conns_.window_slot(c, slot);
   }
 
   std::array<std::byte, sizeof(KvRequest)> hdr{};
   static_cast<void>(msg::wire::store_pod(std::span<std::byte>(hdr), req));
-  const VAddr addr = req_slot(c, slot);
+  const VAddr addr = conns_.request_slot(c, slot);
   if (!ok(node_.kernel().write_user(pid_, addr, hdr))) return KStatus::Fault;
   if (!inline_value.empty()) {
     if (!ok(node_.kernel().write_user(pid_, addr + sizeof(KvRequest),
@@ -258,7 +122,7 @@ KStatus KvClient::stage(std::uint32_t conn, KvRequest req,
   c.staged.push_back(via::Vipl::SendPost{
       c.rings_mh, addr,
       static_cast<std::uint32_t>(sizeof(KvRequest) + inline_value.size()),
-      cookie_of(c.gen, slot)});
+      slot_cookie(c.gen, slot)});
   c.slot_busy[slot] = true;
   ++c.inflight;
   c.pending[req.req_id] =
@@ -296,7 +160,8 @@ KStatus KvClient::put(std::uint32_t conn, std::uint64_t key,
       return st;
     const Conn& c = conns_[conn];
     const std::uint32_t slot = c.pending.at(req_id_out).slot;
-    if (!ok(node_.kernel().write_user(pid_, win_slot(c, slot), value)))
+    if (!ok(node_.kernel().write_user(pid_, conns_.window_slot(c, slot),
+                                      value)))
       return KStatus::Fault;
     stats_.rendezvous_bytes += value.size();
   }
@@ -320,17 +185,12 @@ KStatus KvClient::get(std::uint32_t conn, std::uint64_t key,
 }
 
 std::uint32_t KvClient::flush(std::uint32_t conn) {
-  if (conn >= conns_.size() || !conns_[conn].open) return 0;
+  if (!conns_.is_open(conn)) return 0;
   Conn& c = conns_[conn];
   if (c.staged.empty()) return 0;
   const auto n = static_cast<std::uint32_t>(c.staged.size());
-  if (n == 1) {
-    const via::Vipl::SendPost& p = c.staged.front();
-    (void)vipl_->post_send(c.vi, p.mh, p.addr, p.len, p.cookie);
-  } else {
-    (void)vipl_->post_send_batch(c.vi, c.staged);
-    ++stats_.doorbell_flushes;
-  }
+  conns_.post_sends(c, c.staged);
+  if (n > 1) ++stats_.doorbell_flushes;
   c.staged.clear();
   return n;
 }
@@ -338,14 +198,11 @@ std::uint32_t KvClient::flush(std::uint32_t conn) {
 std::uint32_t KvClient::harvest_sends() {
   harvest_buf_.clear();
   const std::uint32_t n = node_.nic().poll_cq_batch(
-      send_cq_, config_.completion_batch, harvest_buf_);
+      conns_.send_cq(), config_.completion_batch, harvest_buf_);
   for (const via::Nic::CqEntry& e : harvest_buf_) {
     if (e.desc.status == via::DescStatus::Done) continue;
     ++stats_.send_errors;
-    const auto it = vi_to_conn_.find(e.vi);
-    if (it == vi_to_conn_.end()) continue;
-    Conn& c = conns_[it->second];
-    if (c.open && gen_matches(e.desc.cookie, c.gen)) ++stats_.broken_conns;
+    if (conns_.find(e.vi, e.desc.cookie) != nullptr) ++stats_.broken_conns;
   }
   return n;
 }
@@ -353,22 +210,18 @@ std::uint32_t KvClient::harvest_sends() {
 std::uint32_t KvClient::harvest(std::vector<KvResult>& out) {
   (void)harvest_sends();
   harvest_buf_.clear();
-  (void)node_.nic().poll_cq_batch(recv_cq_, config_.completion_batch,
+  (void)node_.nic().poll_cq_batch(conns_.recv_cq(), config_.completion_batch,
                                   harvest_buf_);
   std::uint32_t produced = 0;
   for (const via::Nic::CqEntry& e : harvest_buf_) {
-    const auto ci = vi_to_conn_.find(e.vi);
-    if (ci == vi_to_conn_.end()) {
+    Conn* const found = conns_.find(e.vi, e.desc.cookie);
+    if (found == nullptr || !e.desc.done_ok()) {
       ++stats_.stale_completions;
       continue;
     }
-    Conn& c = conns_[ci->second];
-    if (!c.open || !gen_matches(e.desc.cookie, c.gen) || !e.desc.done_ok()) {
-      ++stats_.stale_completions;
-      continue;
-    }
-    const auto rslot = static_cast<std::uint32_t>(e.desc.cookie & 0xFFFFFFFFu);
-    const VAddr raddr = rsp_slot(c, rslot);
+    Conn& c = *found;
+    const std::uint32_t rslot = cookie_slot(e.desc.cookie);
+    const VAddr raddr = conns_.response_slot(c, rslot);
 
     KvResponse rsp;
     std::array<std::byte, sizeof(KvResponse)> hdr{};
@@ -377,8 +230,7 @@ std::uint32_t KvClient::harvest(std::vector<KvResult>& out) {
         ok(node_.kernel().read_user(pid_, raddr, hdr)) &&
         msg::wire::load_pod(hdr, rsp) && rsp.magic == kRspMagic;
     // Return the response credit regardless of what was in the slot.
-    (void)vipl_->post_recv(c.vi, c.rings_mh, raddr, config_.slot_size,
-                           cookie_of(c.gen, rslot));
+    conns_.repost(c, rslot, raddr);
     if (!parsed) {
       ++stats_.bad_responses;
       continue;
@@ -404,7 +256,7 @@ std::uint32_t KvClient::harvest(std::vector<KvResult>& out) {
     // End-to-end integrity: recompute the checksum over the bytes as they
     // arrived - inline behind the header, or RDMA-written into the window.
     if (p.op == KvOp::Get && rsp.status == KvStatus::Ok) {
-      const VAddr vaddr = rsp.rendezvous ? win_slot(c, p.slot)
+      const VAddr vaddr = rsp.rendezvous ? conns_.window_slot(c, p.slot)
                                          : raddr + sizeof(KvResponse);
       value_buf_.resize(rsp.value_len);
       r.data_ok = ok(node_.kernel().read_user(pid_, vaddr, value_buf_)) &&

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "svc/conn_table.h"
 #include "svc/kv_proto.h"
 #include "via/node.h"
 #include "via/vipl.h"
@@ -136,13 +137,15 @@ class KvClient {
     return conns_.at(conn).inflight;
   }
   [[nodiscard]] bool conn_open(std::uint32_t conn) const {
-    return conn < conns_.size() && conns_[conn].open;
+    return conns_.is_open(conn);
   }
   /// The server-side connection id of `conn` (for KvServer::close/abandon).
   [[nodiscard]] std::uint32_t server_conn(std::uint32_t conn) const {
     return conns_.at(conn).server_conn;
   }
-  [[nodiscard]] std::uint32_t open_conns() const { return open_conns_; }
+  [[nodiscard]] std::uint32_t open_conns() const {
+    return conns_.open_count();
+  }
 
  private:
   struct Pending {
@@ -152,38 +155,14 @@ class KvClient {
     bool rendezvous = false;
   };
 
-  struct Conn {
-    bool open = false;
-    std::uint32_t gen = 0;
-    via::ViId vi = via::kInvalidVi;
+  struct Conn : Link {
     std::uint32_t server_conn = 0;
-    simkern::VAddr rings = 0;   ///< window request + window response slots
-    via::MemHandle rings_mh;
-    simkern::VAddr window = 0;  ///< window * value_window_bytes, RDMA-enabled
-    via::MemHandle window_mh;
     std::uint32_t inflight = 0;
     std::vector<bool> slot_busy;
     std::map<std::uint64_t, Pending> pending;  ///< req_id -> request
     std::vector<via::Vipl::SendPost> staged;
   };
 
-  [[nodiscard]] simkern::VAddr req_slot(const Conn& c, std::uint32_t i) const {
-    return c.rings + static_cast<std::uint64_t>(i) * config_.slot_size;
-  }
-  [[nodiscard]] simkern::VAddr rsp_slot(const Conn& c, std::uint32_t i) const {
-    return req_slot(c, config_.window + i);
-  }
-  [[nodiscard]] simkern::VAddr win_slot(const Conn& c, std::uint32_t i) const {
-    return c.window +
-           static_cast<std::uint64_t>(i) * config_.value_window_bytes;
-  }
-  [[nodiscard]] std::uint64_t ring_bytes() const {
-    return 2ULL * config_.window * config_.slot_size;
-  }
-  [[nodiscard]] std::uint64_t window_bytes() const {
-    return static_cast<std::uint64_t>(config_.window) *
-           config_.value_window_bytes;
-  }
   /// First free request slot, or window (none free).
   [[nodiscard]] std::uint32_t free_slot(const Conn& c) const;
   /// Stage one request: build the header, write slot contents, remember the
@@ -191,11 +170,10 @@ class KvClient {
   [[nodiscard]] KStatus stage(std::uint32_t conn, KvRequest req,
                               std::span<const std::byte> inline_value,
                               std::uint64_t& req_id_out);
-  void teardown_conn(Conn& c);
+  void teardown_conn(std::uint32_t conn);
   /// Drain the send CQ (request doorbell completions; errors break conns).
   std::uint32_t harvest_sends();
 
-  via::Cluster& cluster_;
   via::Node& node_;
   via::NodeId node_id_;
   std::string task_name_;
@@ -203,17 +181,9 @@ class KvClient {
   KvClientStats stats_;
   simkern::Pid pid_ = simkern::kInvalidPid;
   std::unique_ptr<via::Vipl> vipl_;
-  via::CqId recv_cq_ = via::kInvalidCq;
-  via::CqId send_cq_ = via::kInvalidCq;
-  std::vector<Conn> conns_;
-  std::vector<std::uint32_t> free_conns_;
-  std::map<via::ViId, std::uint32_t> vi_to_conn_;
-  std::vector<via::ViId> free_vis_;
-  std::vector<simkern::VAddr> free_rings_;
-  std::vector<simkern::VAddr> free_windows_;
+  /// This process's connections, one pool (pool 0).
+  ConnTable<Conn> conns_;
   std::uint64_t next_req_id_ = 1;
-  std::uint32_t next_gen_ = 1;
-  std::uint32_t open_conns_ = 0;
   std::vector<via::Nic::CqEntry> harvest_buf_;
   std::vector<std::byte> value_buf_;
 };

@@ -1,5 +1,6 @@
 #include "svc/kv_server.h"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 
@@ -15,23 +16,8 @@ using via::MemHandle;
 namespace {
 
 /// Cookie layout: bit 63 marks an RDMA leg (keyed by sequence); replies and
-/// posted request recvs carry (generation << 32 | slot) so a completion of a
-/// dead connection's previous incarnation is recognisable on a reused VI.
+/// posted request recvs carry slot_cookie(generation, slot).
 inline constexpr std::uint64_t kRdmaBit = 1ULL << 63;
-
-[[nodiscard]] constexpr std::uint64_t cookie_of(std::uint32_t gen,
-                                                std::uint32_t slot) {
-  return (static_cast<std::uint64_t>(gen & 0x7FFFFFFFu) << 32) | slot;
-}
-
-[[nodiscard]] constexpr bool gen_matches(std::uint64_t cookie,
-                                         std::uint32_t gen) {
-  return (cookie >> 32) == (gen & 0x7FFFFFFFu);
-}
-
-[[nodiscard]] constexpr std::uint64_t page_round(std::uint64_t bytes) {
-  return (bytes + simkern::kPageSize - 1) & ~simkern::kPageMask;
-}
 
 }  // namespace
 
@@ -41,7 +27,8 @@ KvServer::KvServer(via::Cluster& cluster, via::NodeId node,
       node_(cluster.node(node)),
       node_id_(node),
       config_(config),
-      op_ns_(node_.kernel().metrics().histogram("svc.kv.op_ns")) {
+      op_ns_(node_.kernel().metrics().histogram("svc.kv.op_ns")),
+      conns_(cluster, node, config.slot_size, config.recv_credits, 0) {
   node_.kernel().metrics().register_source("svc", this, &stats_,
                                            metric_rows());
 }
@@ -50,14 +37,14 @@ obs::MetricTable KvServer::metric_rows() {
   using Stats = KvServerStats;
   static constexpr obs::MetricRow kRows[] = {
       VIALOCK_KV_SERVER_STATS(VIALOCK_STAT_ROW)
-      obs::computed<[](const KvServer& s) { return s.open_conns_; }>(
+      obs::computed<[](const KvServer& s) { return s.open_conns(); }>(
           "open_conns"),
       // SLO-relevant backpressure gauges: replies posted but not yet seen
       // complete (pipeline depth the watchdogs track alongside op_ns.p99),
       // and how much of the tenant value arenas is bump-allocated.
       obs::computed<[](const KvServer& s) {
         std::uint64_t inflight = 0;
-        for (const Conn& c : s.conns_)
+        for (const Conn& c : s.conns_.all())
           if (c.open) inflight += c.rsp_inflight;
         return inflight;
       }>("rsp_inflight"),
@@ -82,8 +69,7 @@ KStatus KvServer::init() {
       config_.slot_size < sizeof(KvResponse))
     return KStatus::Inval;
   if (config_.inline_threshold > inline_capacity()) return KStatus::Inval;
-  recv_cq_ = node_.nic().create_cq();
-  send_cq_ = node_.nic().create_cq();
+  conns_.create_cqs();
   return KStatus::Ok;
 }
 
@@ -102,10 +88,12 @@ std::uint32_t KvServer::add_tenant(const TenantConfig& cfg) {
   const KStatus ost = t->vipl->open();
   assert(ok(ost));
   (void)ost;
+  [[maybe_unused]] const std::uint32_t pool = conns_.add_pool(*t->vipl);
+  assert(pool == tenants_.size());
   if (auto* gov = node_.governor())
     gov->set_tenant(t->pid, cfg.quota_pages, cfg.tier);
   const auto arena = node_.kernel().sys_mmap_anon(
-      t->pid, page_round(config_.arena_bytes),
+      t->pid, simkern::page_align_up(config_.arena_bytes),
       simkern::VmFlag::Read | simkern::VmFlag::Write);
   t->arena = arena.value_or(0);
   core::RegistrationCache::Config cc;
@@ -126,8 +114,8 @@ KStatus KvServer::accept(std::uint32_t tenant, via::NodeId client_node,
   // Admission probe before any registration work: a BestEffort tenant whose
   // headroom cannot cover the slot rings is shed here, cheaply. Guaranteed
   // tenants proceed - the charge path drains and reclaims on their behalf.
-  const auto ring_pages =
-      static_cast<std::uint32_t>(page_round(ring_bytes()) / simkern::kPageSize);
+  const auto ring_pages = static_cast<std::uint32_t>(
+      simkern::page_align_up(conns_.ring_bytes()) / simkern::kPageSize);
   if (auto* gov = node_.governor();
       gov && t.tier == pinmgr::QosTier::BestEffort &&
       gov->admission_headroom(t.pid) < ring_pages) {
@@ -135,151 +123,43 @@ KStatus KvServer::accept(std::uint32_t tenant, via::NodeId client_node,
     return KStatus::Again;
   }
 
-  // VI: recycle a disconnected one (the NIC never destroys VIs) or mint one.
-  via::ViId vi = via::kInvalidVi;
-  bool fresh_vi = false;
-  if (!t.free_vis.empty()) {
-    vi = t.free_vis.back();
-    t.free_vis.pop_back();
-  } else {
-    if (const KStatus st = t.vipl->create_vi(vi); !ok(st)) return st;
-    fresh_vi = true;
-  }
-
-  // Slot-ring memory: recycled across churn, mapped once per high-water conn.
-  VAddr rings = 0;
-  bool fresh_rings = false;
-  if (!t.free_rings.empty()) {
-    rings = t.free_rings.back();
-    t.free_rings.pop_back();
-  } else {
-    const auto a = node_.kernel().sys_mmap_anon(
-        t.pid, page_round(ring_bytes()),
-        simkern::VmFlag::Read | simkern::VmFlag::Write);
-    if (!a) {
-      t.free_vis.push_back(vi);
-      return KStatus::NoMem;
-    }
-    rings = *a;
-    fresh_rings = true;
-  }
-
+  Link link;
+  if (const KStatus st = conns_.acquire(tenant, link); !ok(st)) return st;
   // The registration is the governed step: this is where quota/ceiling bite.
-  MemHandle mh;
-  if (const KStatus st =
-          t.vipl->register_mem(rings, ring_bytes(), mh,
-                               via::KernelAgent::RegisterOptions::send_recv_only());
-      !ok(st)) {
+  if (const KStatus st = conns_.register_link(link); !ok(st)) {
     ++stats_.admission_rejected;
-    t.free_vis.push_back(vi);
-    t.free_rings.push_back(rings);
     return st;
   }
-  (void)fresh_rings;
-
-  if (fresh_vi) {
-    if (!ok(t.vipl->attach_recv_cq(vi, recv_cq_)) ||
-        !ok(t.vipl->attach_send_cq(vi, send_cq_))) {
-      (void)t.vipl->deregister_mem(mh);
-      t.free_vis.push_back(vi);
-      t.free_rings.push_back(rings);
-      return KStatus::Inval;
-    }
-  }
-
   if (const KStatus st =
-          cluster_.fabric().connect(node_id_, vi, client_node, client_vi);
+          cluster_.fabric().connect(node_id_, link.vi, client_node, client_vi);
       !ok(st)) {
-    (void)t.vipl->deregister_mem(mh);
-    t.free_vis.push_back(vi);
-    t.free_rings.push_back(rings);
+    conns_.release(link);
     return st;
   }
 
-  std::uint32_t id;
-  if (!free_conns_.empty()) {
-    id = free_conns_.back();
-    free_conns_.pop_back();
-  } else {
-    id = static_cast<std::uint32_t>(conns_.size());
-    conns_.emplace_back();
-  }
-  Conn& c = conns_[id];
-  c = Conn{};
-  c.open = true;
-  c.tenant = tenant;
-  c.gen = next_gen_++;
-  c.vi = vi;
-  c.rings = rings;
-  c.rings_mh = mh;
-  vi_to_conn_[vi] = id;
-  {
-    // Arm the whole request ring with one gather-list doorbell.
-    std::vector<via::Vipl::RecvPost> posts;
-    posts.reserve(config_.recv_credits);
-    for (std::uint32_t i = 0; i < config_.recv_credits; ++i) {
-      posts.push_back(
-          {c.rings_mh, req_slot(c, i), config_.slot_size, cookie_of(c.gen, i)});
-    }
-    (void)tenant_of(c).vipl->post_recv_batch(c.vi, posts);
-  }
-
+  const std::uint32_t id = conns_.open(link);
+  const Conn& c = conns_[id];
+  conns_.arm(c, conns_.request_slot(c, 0));  // the whole request ring
   ++stats_.conns_accepted;
-  ++open_conns_;
   conn_out = id;
   return KStatus::Ok;
 }
 
-void KvServer::repost(Conn& c, std::uint32_t slot) {
-  Tenant& t = tenant_of(c);
-  (void)t.vipl->post_recv(c.vi, c.rings_mh, req_slot(c, slot),
-                          config_.slot_size, cookie_of(c.gen, slot));
-}
-
 KStatus KvServer::close(std::uint32_t conn) {
-  if (conn >= conns_.size() || !conns_[conn].open) return KStatus::Inval;
-  teardown_conn(conns_[conn], /*abrupt=*/false);
+  if (!conns_.is_open(conn)) return KStatus::Inval;
+  conns_.close(conn);
   ++stats_.conns_closed;
   return KStatus::Ok;
 }
 
 void KvServer::abandon(std::uint32_t conn) {
-  if (conn >= conns_.size() || !conns_[conn].open) return;
-  teardown_conn(conns_[conn], /*abrupt=*/true);
+  if (!conns_.is_open(conn)) return;
+  conns_.close(conn);
+  // Under a lazy governor the ring deregistration may be deferred - an
+  // abrupt teardown flushes so the dead connection's pins and charge are
+  // gone now, not at the next batch boundary.
+  if (auto* gov = node_.governor()) (void)gov->flush();
   ++stats_.conns_abandoned;
-}
-
-void KvServer::teardown_conn(Conn& c, bool abrupt) {
-  Tenant& t = tenant_of(c);
-  via::Vi& v = node_.nic().vi(c.vi);
-  if (v.connected()) (void)cluster_.fabric().disconnect(node_id_, c.vi);
-  // Discard the incarnation's posted descriptors and per-VI completions: a
-  // reused VI must not scatter a new peer's data into deregistered slots.
-  v.recv_queue.clear();
-  v.send_completed.clear();
-  v.recv_completed.clear();
-  // Eager-slot release. Under a lazy governor the dereg may be deferred -
-  // an *abrupt* teardown flushes so the dead connection's pins and charge
-  // are gone now, not at the next batch boundary.
-  (void)t.vipl->deregister_mem(c.rings_mh);
-  if (abrupt) {
-    if (auto* gov = node_.governor()) (void)gov->flush();
-  }
-  vi_to_conn_.erase(c.vi);
-  free_conns_.push_back(
-      static_cast<std::uint32_t>(&c - conns_.data()));
-  t.free_vis.push_back(c.vi);
-  t.free_rings.push_back(c.rings);
-  c.open = false;
-  --open_conns_;
-}
-
-KvServer::Conn* KvServer::conn_for(via::ViId vi, std::uint64_t cookie) {
-  const auto it = vi_to_conn_.find(vi);
-  if (it == vi_to_conn_.end()) return nullptr;
-  Conn& c = conns_[it->second];
-  if (!c.open || !gen_matches(cookie, c.gen)) return nullptr;
-  return &c;
 }
 
 std::uint32_t KvServer::service() {
@@ -289,26 +169,24 @@ std::uint32_t KvServer::service() {
 
 std::uint32_t KvServer::service_once(std::uint32_t& harvested) {
   harvest_buf_.clear();
-  harvested = node_.nic().poll_cq_batch(recv_cq_, config_.completion_batch,
-                                        harvest_buf_);
+  harvested = node_.nic().poll_cq_batch(
+      conns_.recv_cq(), config_.completion_batch, harvest_buf_);
   if (harvested == 0) return 0;
   ++stats_.batches;
   stats_.batched_completions += harvested;
 
-  std::vector<StagedReply> replies;
-  replies.reserve(harvested);
   std::uint32_t executed = 0;
   for (const via::Nic::CqEntry& e : harvest_buf_) {
-    Conn* c = conn_for(e.vi, e.desc.cookie);
+    const Conn* c = conns_.find(e.vi, e.desc.cookie);
     if (c == nullptr || !e.desc.done_ok()) {
       ++stats_.requests_dropped;
       continue;
     }
-    const auto slot = static_cast<std::uint32_t>(e.desc.cookie & 0xFFFFFFFFu);
-    const auto conn_id = static_cast<std::uint32_t>(c - conns_.data());
-    if (execute(conn_id, slot, e.desc.transferred, replies)) ++executed;
+    if (execute(conns_.id_of(*c), cookie_slot(e.desc.cookie),
+                e.desc.transferred, replies_))
+      ++executed;
   }
-  flush_replies(replies);
+  flush_replies(replies_);
   (void)harvest_sends();
   return executed;
 }
@@ -333,7 +211,7 @@ bool KvServer::execute(std::uint32_t conn_id, std::uint32_t slot,
   std::array<std::byte, sizeof(KvRequest)> hdr{};
   const bool parsed =
       transferred >= sizeof(KvRequest) &&
-      ok(node_.kernel().read_user(t.pid, req_slot(c, slot), hdr)) &&
+      ok(node_.kernel().read_user(t.pid, conns_.request_slot(c, slot), hdr)) &&
       msg::wire::load_pod(hdr, req) && req.magic == kReqMagic;
   if (!parsed) {
     // Unparseable header: no trustworthy req_id to answer to. Count it,
@@ -352,7 +230,7 @@ bool KvServer::execute(std::uint32_t conn_id, std::uint32_t slot,
   const std::uint32_t rsp_idx = c.next_rsp;
   c.next_rsp = (c.next_rsp + 1) % config_.recv_credits;
   ++c.rsp_inflight;
-  const VAddr rsp_addr = rsp_slot(c, rsp_idx);
+  const VAddr rsp_addr = conns_.response_slot(c, rsp_idx);
 
   switch (req.op) {
     case KvOp::Get:
@@ -361,7 +239,7 @@ bool KvServer::execute(std::uint32_t conn_id, std::uint32_t slot,
       break;
     case KvOp::Put:
       ++stats_.puts;
-      do_put(c, req, req_slot(c, slot), rsp);
+      do_put(c, req, conns_.request_slot(c, slot), rsp);
       break;
     default:
       ++stats_.bad_requests;
@@ -576,8 +454,8 @@ via::DescStatus KvServer::run_rdma(Conn& c, bool write,
 
 std::uint32_t KvServer::harvest_sends() {
   send_buf_.clear();
-  const std::uint32_t n =
-      node_.nic().poll_cq_batch(send_cq_, config_.completion_batch, send_buf_);
+  const std::uint32_t n = node_.nic().poll_cq_batch(
+      conns_.send_cq(), config_.completion_batch, send_buf_);
   if (n) stats_.batched_completions += n;
   for (const via::Nic::CqEntry& e : send_buf_) {
     if (e.desc.cookie & kRdmaBit) {
@@ -585,16 +463,13 @@ std::uint32_t KvServer::harvest_sends() {
       if (e.desc.status != via::DescStatus::Done) ++stats_.send_errors;
       continue;
     }
-    const auto it = vi_to_conn_.find(e.vi);
-    if (it == vi_to_conn_.end()) continue;
-    const std::uint32_t conn_id = it->second;
-    Conn& c = conns_[conn_id];
-    if (!c.open || !gen_matches(e.desc.cookie, c.gen)) continue;
-    if (c.rsp_inflight) --c.rsp_inflight;
+    Conn* c = conns_.find(e.vi, e.desc.cookie);
+    if (c == nullptr) continue;
+    if (c->rsp_inflight) --c->rsp_inflight;
     if (e.desc.status == via::DescStatus::ErrDisconnected) {
       // The peer vanished mid-pipeline: reclaim everything it held, now.
       ++stats_.send_errors;
-      abandon(conn_id);
+      abandon(conns_.id_of(*c));
     } else if (e.desc.status != via::DescStatus::Done) {
       ++stats_.send_errors;
     }
@@ -603,34 +478,30 @@ std::uint32_t KvServer::harvest_sends() {
 }
 
 void KvServer::flush_replies(std::vector<StagedReply>& replies) {
-  // Group per connection (ordered - deterministic doorbell order), then ring
-  // one doorbell per connection: a burst of replies to one client costs one
-  // MMIO write, not one per reply.
-  std::map<std::uint32_t, std::vector<const StagedReply*>> by_conn;
-  for (const StagedReply& r : replies) {
-    Conn& c = conns_[r.conn];
-    if (!c.open || c.gen != r.gen) {
-      ++stats_.requests_dropped;  // connection died between execute and flush
-      continue;
+  // Group per connection in ascending id order (deterministic doorbell
+  // order), each connection's replies in staging order, then ring one
+  // doorbell per connection: a burst of replies to one client costs one MMIO
+  // write, not one per reply.
+  std::stable_sort(replies.begin(), replies.end(),
+                   [](const StagedReply& a, const StagedReply& b) {
+                     return a.conn < b.conn;
+                   });
+  for (auto r = replies.begin(); r != replies.end();) {
+    const Conn& c = conns_[r->conn];
+    reply_posts_.clear();
+    for (const std::uint32_t id = r->conn; r != replies.end() && r->conn == id;
+         ++r) {
+      if (!c.open || c.gen != r->gen) {
+        ++stats_.requests_dropped;  // connection died between execute and flush
+        continue;
+      }
+      reply_posts_.push_back(via::Vipl::SendPost{
+          c.rings_mh, conns_.response_slot(c, r->slot), r->len,
+          slot_cookie(c.gen, r->slot)});
     }
-    by_conn[r.conn].push_back(&r);
-  }
-  for (const auto& [conn_id, list] : by_conn) {
-    Conn& c = conns_[conn_id];
-    Tenant& t = tenant_of(c);
-    if (list.size() == 1) {
-      const StagedReply& r = *list.front();
-      (void)t.vipl->post_send(c.vi, c.rings_mh, rsp_slot(c, r.slot), r.len,
-                              cookie_of(c.gen, r.slot));
-    } else {
-      std::vector<via::Vipl::SendPost> posts;
-      posts.reserve(list.size());
-      for (const StagedReply* r : list)
-        posts.push_back(via::Vipl::SendPost{c.rings_mh, rsp_slot(c, r->slot),
-                                            r->len, cookie_of(c.gen, r->slot)});
-      (void)t.vipl->post_send_batch(c.vi, posts);
-      stats_.batched_replies += posts.size();
-    }
+    if (reply_posts_.empty()) continue;
+    conns_.post_sends(c, reply_posts_);
+    if (reply_posts_.size() > 1) stats_.batched_replies += reply_posts_.size();
   }
   replies.clear();
 }
@@ -639,9 +510,9 @@ void KvServer::shutdown() {
   if (shut_down_) return;
   shut_down_ = true;
   drain();
-  for (std::uint32_t id = 0; id < conns_.size(); ++id) {
-    if (conns_[id].open) {
-      teardown_conn(conns_[id], /*abrupt=*/false);
+  for (std::uint32_t id = 0; id < conns_.all().size(); ++id) {
+    if (conns_.is_open(id)) {
+      conns_.close(id);
       ++stats_.conns_closed;
     }
   }

@@ -24,10 +24,13 @@
 //     registered on the fly... remedied by caching registered regions").
 //
 // Teardown discipline (the part regression tests pin down): close() and
-// abandon() release a connection's slot-ring registration eagerly and flush
-// the governor's deferred deregistrations, so an abrupt mid-pipeline
-// disconnect strands neither pinned frames nor governor charge; stale
-// completions of a dead connection are recognised by generation and dropped.
+// abandon() release a connection's slot-ring registration eagerly, and
+// abandon() also flushes the governor's deferred deregistrations, so an
+// abrupt mid-pipeline disconnect strands neither pinned frames nor governor
+// charge; stale completions of a dead connection are recognised by
+// generation and dropped. The connection plumbing itself (ids, generations,
+// recycling, registration, teardown) is the ConnTable it shares with
+// KvClient (conn_table.h).
 #pragma once
 
 #include <cstdint>
@@ -38,6 +41,7 @@
 
 #include "core/reg_cache.h"
 #include "pinmgr/pin_governor.h"
+#include "svc/conn_table.h"
 #include "svc/kv_proto.h"
 #include "via/node.h"
 #include "via/vipl.h"
@@ -138,7 +142,7 @@ class KvServer {
 
   /// Abrupt teardown (peer vanished mid-pipeline): like close(), but also
   /// flushes the governor's deferred deregistrations so nothing the dead
-  /// connection pinned outlives it, and discards its posted descriptors.
+  /// connection pinned outlives it.
   /// service() invokes this automatically when a reply completes with
   /// ErrDisconnected. Safe on an already-dead connection (no-op).
   void abandon(std::uint32_t conn);
@@ -164,7 +168,7 @@ class KvServer {
   [[nodiscard]] static obs::MetricTable metric_rows();
   [[nodiscard]] const KvServerConfig& config() const { return config_; }
   [[nodiscard]] via::NodeId node_id() const { return node_id_; }
-  [[nodiscard]] std::uint32_t open_conns() const { return open_conns_; }
+  [[nodiscard]] std::uint32_t open_conns() const { return conns_.open_count(); }
   [[nodiscard]] simkern::Pid tenant_pid(std::uint32_t tenant) const {
     return tenants_.at(tenant)->pid;
   }
@@ -190,19 +194,10 @@ class KvServer {
     simkern::VAddr arena = 0;
     std::uint64_t arena_off = 0;  ///< bump pointer
     std::map<std::uint64_t, Value> store;
-    // Churn recycling: VIs are NIC-permanent and ring memory stays mapped,
-    // so both are free lists rather than ever-growing allocations.
-    std::vector<via::ViId> free_vis;
-    std::vector<simkern::VAddr> free_rings;
   };
 
-  struct Conn {
-    bool open = false;
-    std::uint32_t tenant = 0;
-    std::uint32_t gen = 0;  ///< distinguishes reincarnations on a reused VI
-    via::ViId vi = via::kInvalidVi;
-    simkern::VAddr rings = 0;
-    via::MemHandle rings_mh;
+  /// A connection; Link::pool is its tenant.
+  struct Conn : Link {
     std::uint32_t next_rsp = 0;      ///< round-robin reply slot cursor
     std::uint32_t rsp_inflight = 0;  ///< replies posted, completion not seen
   };
@@ -215,25 +210,15 @@ class KvServer {
     std::uint32_t len = 0;
   };
 
-  [[nodiscard]] Tenant& tenant_of(const Conn& c) { return *tenants_[c.tenant]; }
-  [[nodiscard]] simkern::VAddr req_slot(const Conn& c, std::uint32_t i) const {
-    return c.rings + static_cast<std::uint64_t>(i) * config_.slot_size;
-  }
-  [[nodiscard]] simkern::VAddr rsp_slot(const Conn& c, std::uint32_t i) const {
-    return req_slot(c, config_.recv_credits + i);
-  }
-  [[nodiscard]] std::uint64_t ring_bytes() const {
-    return 2ULL * config_.recv_credits * config_.slot_size;
-  }
-
-  /// Conn for a CQ entry, or nullptr (dead / reincarnated connection).
-  [[nodiscard]] Conn* conn_for(via::ViId vi, std::uint64_t cookie);
+  [[nodiscard]] Tenant& tenant_of(const Conn& c) { return *tenants_[c.pool]; }
 
   /// One service cycle; fills `harvested` with the recv completions drained
   /// (so drain() can tell "no work executed" from "queue empty").
   std::uint32_t service_once(std::uint32_t& harvested);
   /// Re-post the request slot's receive descriptor (returns the credit).
-  void repost(Conn& c, std::uint32_t slot);
+  void repost(const Conn& c, std::uint32_t slot) {
+    conns_.repost(c, slot, conns_.request_slot(c, slot));
+  }
   /// Execute one request from `slot`; stages the reply. Returns false when
   /// the header was unparseable (no reply possible).
   bool execute(std::uint32_t conn_id, std::uint32_t slot,
@@ -259,9 +244,6 @@ class KvServer {
   /// abandon connections whose replies bounced. Returns entries drained.
   std::uint32_t harvest_sends();
   void flush_replies(std::vector<StagedReply>& replies);
-  /// Shared teardown of close()/abandon(). `abrupt` adds the prompt
-  /// governor flush and discards posted descriptors.
-  void teardown_conn(Conn& c, bool abrupt);
 
   via::Cluster& cluster_;
   via::Node& node_;
@@ -269,21 +251,18 @@ class KvServer {
   KvServerConfig config_;
   KvServerStats stats_;
   obs::Histogram& op_ns_;  ///< per-request service time (virtual)
-  via::CqId recv_cq_ = via::kInvalidCq;
-  via::CqId send_cq_ = via::kInvalidCq;
   std::vector<std::unique_ptr<Tenant>> tenants_;
-  std::vector<Conn> conns_;
-  std::vector<std::uint32_t> free_conns_;
-  std::map<via::ViId, std::uint32_t> vi_to_conn_;
+  /// Every tenant's connections; tenant i is pool i.
+  ConnTable<Conn> conns_;
   /// RDMA-leg completion results keyed by cookie, filled by harvest_sends.
   std::map<std::uint64_t, via::DescStatus> rdma_done_;
   std::uint64_t next_rdma_seq_ = 0;
-  std::uint32_t next_gen_ = 1;
-  std::uint32_t open_conns_ = 0;
   bool shut_down_ = false;
   // Scratch buffers (hot path, avoid per-request allocation).
   std::vector<via::Nic::CqEntry> harvest_buf_;
   std::vector<via::Nic::CqEntry> send_buf_;
+  std::vector<StagedReply> replies_;
+  std::vector<via::Vipl::SendPost> reply_posts_;
   std::vector<std::byte> value_buf_;
 };
 

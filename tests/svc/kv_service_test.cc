@@ -1,7 +1,10 @@
 // kv_service_test - functional contract of the zero-copy KV service tier:
 // inline vs rendezvous data paths, pipelined batching, governed admission
-// shedding, and the teardown-accounting regression (an abrupt mid-pipeline
-// disconnect strands neither pinned frames nor governor charge).
+// shedding, the teardown-accounting regression (an abrupt mid-pipeline
+// disconnect strands neither pinned frames nor governor charge), and the
+// connection lifecycle both ends share: a recycled VI keeps its completion
+// queues, and a dead incarnation's completions on a reused VI are dropped
+// by generation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -195,6 +198,86 @@ TEST_F(KvBox, ConnectionChurnRecyclesEverything) {
   EXPECT_EQ(server->stats().conns_accepted, 6u);
   EXPECT_EQ(server->stats().conns_closed, 6u);
   EXPECT_EQ(server->tenant_keys(t), 6u);
+}
+
+TEST_F(KvBox, RecycledViAfterRefusedRegistrationKeepsItsCompletionQueues) {
+  // A 2-page quota covers exactly one connection's slot rings.
+  const std::uint32_t t =
+      server->add_tenant({"tight", 2, pinmgr::QosTier::Guaranteed});
+  std::uint32_t first = 0;
+  ASSERT_TRUE(ok(client->connect(*server, t, first)));
+
+  // The second connection mints a fresh server VI, then its ring
+  // registration is refused; the VI goes back to the free list.
+  std::uint32_t second = 0;
+  EXPECT_EQ(client->connect(*server, t, second), KStatus::NoMem);
+  EXPECT_EQ(server->stats().admission_rejected, 1u);
+
+  // With room again, the third connection reuses that VI. Its requests must
+  // still reach the shared recv CQ, and its replies the shared send CQ.
+  gov->set_tenant(server->tenant_pid(t), 256, pinmgr::QosTier::Guaranteed);
+  std::uint32_t third = 0;
+  ASSERT_TRUE(ok(client->connect(*server, t, third)));
+  stage_put(third, 9, 64);
+  const std::vector<KvResult> r = pump(third);
+  ASSERT_EQ(r.size(), 1u);
+  EXPECT_EQ(r[0].status, KvStatus::Ok);
+  EXPECT_EQ(server->stats().requests, 1u);
+  EXPECT_EQ(server->stats().requests_dropped, 0u);
+}
+
+TEST_F(KvBox, StaleRequestOfAClosedConnectionIsDroppedOnTheReusedVi) {
+  const std::uint32_t t = server->add_tenant({"t0", 256,
+                                              pinmgr::QosTier::Guaranteed});
+  std::uint32_t conn = 0;
+  ASSERT_TRUE(ok(client->connect(*server, t, conn)));
+  // The request reaches the server's recv CQ, then both ends go away before
+  // the server services it.
+  stage_put(conn, 1, 64);
+  EXPECT_EQ(client->flush(conn), 1u);
+  const std::uint32_t sc = client->server_conn(conn);
+  ASSERT_TRUE(ok(client->abandon(conn)));
+  ASSERT_TRUE(ok(server->close(sc)));
+
+  // The next connection reuses both VIs and the same ring memory, so only
+  // the generation in the cookie tells the old request from a new one.
+  ASSERT_TRUE(ok(client->connect(*server, t, conn)));
+  EXPECT_EQ(client->server_conn(conn), sc);
+  const KvResult put = put_now(conn, 2, 64);
+  EXPECT_EQ(put.status, KvStatus::Ok);
+
+  const KvServerStats& ss = server->stats();
+  EXPECT_EQ(ss.requests_dropped, 1u);
+  EXPECT_EQ(ss.requests, 1u);
+  EXPECT_EQ(ss.puts, 1u);
+  EXPECT_EQ(server->tenant_keys(t), 1u);  // key 1 was never committed
+}
+
+TEST_F(KvBox, StaleResponseOfAnAbandonedConnectionIsDroppedOnTheReusedVi) {
+  const std::uint32_t t = server->add_tenant({"t0", 256,
+                                              pinmgr::QosTier::Guaranteed});
+  std::uint32_t conn = 0;
+  ASSERT_TRUE(ok(client->connect(*server, t, conn)));
+  // The reply lands in the client's recv CQ; the client abandons the
+  // connection without harvesting it.
+  stage_put(conn, 1, 64);
+  (void)client->flush(conn);
+  while (server->service() != 0) {
+  }
+  const std::uint32_t sc = client->server_conn(conn);
+  ASSERT_TRUE(ok(client->abandon(conn)));
+  ASSERT_TRUE(ok(server->close(sc)));
+  EXPECT_EQ(client->stats().requests_lost, 1u);
+
+  ASSERT_TRUE(ok(client->connect(*server, t, conn)));
+  const KvResult put = put_now(conn, 2, 64);
+  EXPECT_EQ(put.status, KvStatus::Ok);
+  EXPECT_EQ(put.key, 2u);
+
+  const KvClientStats& cs = client->stats();
+  EXPECT_EQ(cs.stale_completions, 1u);
+  EXPECT_EQ(cs.bad_responses, 0u);
+  EXPECT_EQ(cs.responses, 1u);
 }
 
 }  // namespace
